@@ -372,21 +372,23 @@ def run_hom(config: ExperimentConfig) -> RunReport:
 
 def _write_csv(grid: density_maps.DensityGrid, path: Path) -> None:
     spec = grid.spec
+    nx, ny = spec.resolution
     header = (
         f"# {spec.x_range[0]!r} {spec.x_range[1]!r} "
         f"{spec.y_range[0]!r} {spec.y_range[1]!r} "
-        f"{spec.resolution[0]} {spec.resolution[1]}"
+        f"{nx} {ny}\n"
     )
-    lines = [header]
+    # "%r" of a Python float is repr(float): one format string per grid row,
+    # a scalar row on one line, a flux row as one "jx,jy" line per point
     if grid.values.ndim == 2:
-        for i in range(grid.values.shape[0]):
-            lines.append(",".join(repr(float(v)) for v in grid.values[i]))
+        row_format = ",".join(["%r"] * ny) + "\n"
     else:
-        for i in range(grid.values.shape[0]):
-            for j in range(grid.values.shape[1]):
-                jx, jy = grid.values[i, j]
-                lines.append(f"{float(jx)!r},{float(jy)!r}")
-    path.write_text("\n".join(lines) + "\n")
+        row_format = "%r,%r\n" * ny
+    rows = grid.values.astype(float, copy=False).reshape(nx, -1)
+    with path.open("w") as fh:
+        fh.write(header)
+        for row in rows:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def _grayscale(values: np.ndarray) -> np.ndarray:
@@ -549,14 +551,21 @@ def run_density(config: ExperimentConfig) -> RunReport:
         )
 
     if config.c2_magnitude != 0.0:
-        residual = _balance_residual(config)
-        assertions.append(
-            AssertionResult(
-                "boson and fermion densities agree at balance",
-                residual <= 1e-10,
-                f"max deviation {residual:.3e}",
+        label = "boson and fermion densities agree at balance"
+        try:
+            residual = _balance_residual(config)
+        except _ZeroNormSuperposition as exc:
+            assertions.append(
+                AssertionResult(
+                    label,
+                    False,
+                    f"cannot run: C1·Ψ1 + C1*·Ψ2 has zero norm ({exc.statistics})",
+                )
             )
-        )
+        else:
+            assertions.append(
+                AssertionResult(label, residual <= 1e-10, f"max deviation {residual:.3e}")
+            )
 
     return RunReport(
         name=f"density:{config.name}",
@@ -578,11 +587,21 @@ def _dimensions_text(config: ExperimentConfig) -> str:
     return f"a={config.a:g} b={config.b:g}"
 
 
+class _ZeroNormSuperposition(ArithmeticError):
+    """C1 Psi1 + C1* Psi2 vanishes: the two branches lie on one ray."""
+
+    def __init__(self, statistics: str):
+        super().__init__(f"zero-norm superposition ({statistics})")
+        self.statistics = statistics
+
+
 def _balance_residual(config: ExperimentConfig) -> float:
     """Max deviation between fermion and boson full densities at C1=C2*.
 
     Densities are normalised to unit total weight before comparison, so the
     check is insensitive to the overall norm of the superposed state.
+    Raises _ZeroNormSuperposition when that weight vanishes, which happens
+    at the ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.
     """
     from .wavefunction_algebra import (
         Superposition,
@@ -600,17 +619,22 @@ def _balance_residual(config: ExperimentConfig) -> float:
         [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)] for _ in range(6)
     ]
     evaluator = {label: mo.evaluate for label, mo in mos.items()}
+    densities = {}
+    for statistics in ("fermion", "boson"):
+        psi1 = assemble_state(n, "low", statistics)
+        psi2 = assemble_state(n, "high", statistics)
+        kernel = spin_trace(Superposition(c1, psi1, c2, psi2))
+        cross = complex(full_overlap(psi1, psi2))
+        weight = abs(c1) ** 2 + abs(c2) ** 2 + 2.0 * (c1 * c2.conjugate() * cross).real
+        if weight == 0.0:
+            raise _ZeroNormSuperposition(statistics)
+        densities[statistics] = (kernel, weight)
     worst = 0.0
     for points in configurations:
-        results = {}
-        for statistics in ("fermion", "boson"):
-            psi1 = assemble_state(n, "low", statistics)
-            psi2 = assemble_state(n, "high", statistics)
-            kernel = spin_trace(Superposition(c1, psi1, c2, psi2))
-            cross = complex(full_overlap(psi1, psi2))
-            weight = abs(c1) ** 2 + abs(c2) ** 2 + 2.0 * (c1 * c2.conjugate() * cross).real
-            value = evaluate_density(kernel, evaluator, points)
-            results[statistics] = complex(value) / weight
+        results = {
+            statistics: complex(evaluate_density(kernel, evaluator, points)) / weight
+            for statistics, (kernel, weight) in densities.items()
+        }
         worst = max(worst, abs(results["fermion"] - results["boson"]))
     return worst
 

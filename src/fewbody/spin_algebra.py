@@ -13,11 +13,15 @@ Coupled-state conventions (pinned by the identity tests):
     as written.
 With these choices the three same-family states sum to the zero vector
 for both the pair-singlet and pair-triplet families.
+
+Clebsch-Gordan coefficients and coupled states are cached on their
+normalized arguments; every cached value is immutable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterable, Union
 
@@ -62,9 +66,16 @@ def clebsch_gordan(
     """Exact <j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
 
     Invalid triangles or projections give an exact zero rather than an
-    error, matching the usual tabulation convention.
+    error, matching the usual tabulation convention.  Results are cached
+    on the normalized arguments, so 0.5 and Fraction(1, 2) share an entry.
     """
-    j1, m1, j2, m2, J, M = (_half(x) for x in (j1, m1, j2, m2, J, M))
+    return _clebsch_gordan(*(_half(x) for x in (j1, m1, j2, m2, J, M)))
+
+
+@cache
+def _clebsch_gordan(
+    j1: Fraction, m1: Fraction, j2: Fraction, m2: Fraction, J: Fraction, M: Fraction
+) -> SqrtRational:
     if m1 + m2 != M or not _triangle_ok(j1, j2, J):
         return ZERO
     if abs(m1) > j1 or abs(m2) > j2 or abs(M) > J:
@@ -298,6 +309,11 @@ def coupled_state_3(lone_particle: int, s_pair: SpinValue, m: SpinValue) -> Spin
     M = _half(m)
     if abs(M) != UP:
         raise ValueError(f"M = {m} invalid for S = 1/2")
+    return _coupled_state_3(lone_particle, s, M)
+
+
+@cache
+def _coupled_state_3(lone_particle: int, s: Fraction, M: Fraction) -> SpinState:
     pair = CYCLIC_PAIR[lone_particle]
     partial: dict = {}
     for m_lone in (UP, DOWN):
@@ -332,6 +348,13 @@ def coupled_state_4(
     s = _half(s_pairs)
     if s not in (Fraction(0), Fraction(1)):
         raise ValueError(f"pair spin {s_pairs} not in {{0, 1}}")
+    return _coupled_state_4(p1, p2, s)
+
+
+@cache
+def _coupled_state_4(
+    p1: tuple[int, int], p2: tuple[int, int], s: Fraction
+) -> SpinState:
     partial: dict = {}
     m = -s
     while m <= s:

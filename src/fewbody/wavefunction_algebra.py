@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -242,8 +243,26 @@ def assemble_state(
     coupling "low" couples each spin pair to 0, "high" to 1.  Fermions
     pair the low family with kind-0 position parts and the high family
     with kind-1 parts; bosons interchange the position kinds.  m selects
-    M = +-1/2 for n = 3 and is ignored for n = 4 (S = 0).
+    M = +-1/2 for n = 3 and is ignored for n = 4 (S = 0).  States are
+    cached on the normalized arguments (assignment as a tuple, m as a
+    Fraction); the returned state is immutable and may be shared.
     """
+    if orbital_assignment is not None:
+        orbital_assignment = tuple(orbital_assignment)
+    return _assemble_state(
+        n, coupling, statistics, orbital_assignment, Fraction(m), normalize
+    )
+
+
+@cache
+def _assemble_state(
+    n: int,
+    coupling: str,
+    statistics: str,
+    orbital_assignment: tuple[str, ...] | None,
+    m: Fraction,
+    normalize: bool,
+) -> SpinPositionState:
     if coupling not in ("low", "high"):
         raise ValueError(f"coupling {coupling!r} not in {{low, high}}")
     if statistics not in ("fermion", "boson"):

@@ -2,18 +2,21 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fewbody.cli import (
     AssertionResult,
     ExperimentConfig,
     RunReport,
+    _write_csv,
     apply_overrides,
     main,
     parse_config,
     run_verify,
     serialize_config,
 )
+from fewbody.density_maps import DensityGrid, GridSpec
 
 LOW_RES = ["--set", "nx=64", "--set", "ny=64"]
 
@@ -265,6 +268,64 @@ def test_density_balance_assertion(tmp_path: Path, capsys) -> None:
     assert code == 0
     assert "densities agree at balance" in out
     assert "RESULT: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "geometry, phase, degenerate",
+    [
+        ("triangle", "0", "fermion"),
+        ("triangle", repr(math.pi / 2), "boson"),
+        ("rectangle", "0", "boson"),
+        ("rectangle", repr(math.pi / 2), "fermion"),
+    ],
+)
+def test_density_balance_at_zero_norm_phase_cannot_run(
+    geometry: str, phase: str, degenerate: str, tmp_path: Path, capsys
+) -> None:
+    # at the ground assignment Psi1 and Psi2 lie on one ray, so C1 Psi1 + C1* Psi2
+    # vanishes for one statistics whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2
+    code = main(
+        [
+            "density",
+            "--geometry",
+            geometry,
+            "--output-dir",
+            str(tmp_path),
+            "--set",
+            "nx=16",
+            "--set",
+            "ny=16",
+            "--set",
+            "c2_magnitude=1",
+            "--set",
+            f"c1_phase={phase}",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert (
+        "[FAIL] boson and fermion densities agree at balance  "
+        f"(cannot run: C1·Ψ1 + C1*·Ψ2 has zero norm ({degenerate}))"
+    ) in out
+    assert out.endswith("RESULT: FAIL\n")
+
+
+def test_write_csv_matches_repr_of_every_float(tmp_path: Path) -> None:
+    spec = GridSpec((-1.5, 0.1 + 0.2), (-6.0, 6.0), (8, 8))
+    awkward = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0, 2.5e-17, 1 / 3, 0.0]
+    scalar = np.array([np.roll(awkward, i) for i in range(8)])
+    flux = np.stack([scalar, -scalar[::-1]], axis=-1)
+    header = "# -1.5 0.30000000000000004 -6.0 6.0 8 8"
+
+    _write_csv(DensityGrid(spec, scalar), tmp_path / "scalar.csv")
+    expected = [header] + [",".join(repr(float(v)) for v in row) for row in scalar]
+    assert (tmp_path / "scalar.csv").read_text() == "\n".join(expected) + "\n"
+
+    _write_csv(DensityGrid(spec, flux), tmp_path / "flux.csv")
+    expected = [header] + [
+        f"{float(jx)!r},{float(jy)!r}" for row in flux for jx, jy in row
+    ]
+    assert (tmp_path / "flux.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_density_rejects_mismatched_particle_count(tmp_path: Path) -> None:

@@ -259,3 +259,22 @@ def test_invalid_arguments_raise() -> None:
         coupled_state_4(0, 0)
     with pytest.raises(ValueError):
         coupled_state_4(((1, 3), (2, 4)), 0)
+
+
+def test_clebsch_gordan_cache_key_ignores_argument_type() -> None:
+    as_floats = clebsch_gordan(0.5, 0.5, 0.5, -0.5, 1, 0)
+    as_fractions = clebsch_gordan(HALF, HALF, HALF, -HALF, Fraction(1), Fraction(0))
+    assert as_floats == as_fractions == sqrt_rational(Fraction(1, 2))
+    assert as_floats is as_fractions
+    assert coupled_state_3(1, 0, 0.5) is coupled_state_3(1, Fraction(0), UP)
+    assert coupled_state_4(1, 1) is coupled_state_4(((1, 2), (3, 4)), 1.0)
+
+
+def test_invalid_arguments_raise_on_every_call() -> None:
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            clebsch_gordan(0.3, 0.5, 0.5, -0.5, 1, 0)
+        with pytest.raises(ValueError):
+            coupled_state_3(1, 0.25, UP)
+        with pytest.raises(ValueError):
+            coupled_state_4(1, 0.25)

@@ -276,3 +276,23 @@ def test_superposition_statistics_mismatch_rejected() -> None:
     psi_b = assemble_state(3, "low", "boson")
     with pytest.raises(ValueError):
         Superposition(1.0, psi_f, 1.0, psi_b)
+
+
+def test_assemble_state_cache_key_ignores_argument_type() -> None:
+    from_list = assemble_state(3, "low", "fermion", ["g", "g", "e"], 0.5)
+    from_tuple = assemble_state(3, "low", "fermion", ("g", "g", "e"), Fraction(1, 2))
+    assert from_list == from_tuple
+    assert from_list is from_tuple
+    assert full_overlap(from_list, from_list) == ONE
+
+
+def test_assemble_state_invalid_arguments_raise_on_every_call() -> None:
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            assemble_state(3, "medium", "fermion")
+        with pytest.raises(ValueError):
+            assemble_state(3, "low", "anyon")
+        with pytest.raises(ValueError):
+            assemble_state(3, "low", "fermion", None, 0.3)
+        with pytest.raises(ValueError):
+            assemble_state(5, "low", "fermion")
