@@ -441,13 +441,22 @@ def _geometry_mos(config: ExperimentConfig) -> dict[str, orbitals.MolecularOrbit
     raise ValueError(f"unknown geometry {config.geometry!r}")
 
 
+def _density_inputs(
+    config: ExperimentConfig,
+) -> tuple[dict[str, orbitals.MolecularOrbital], density_maps.GridSpec]:
+    """The orbitals and grid of a density run; ValueError on an invalid input."""
+    mos = _geometry_mos(config)
+    if (config.geometry, config.particles) not in (("triangle", 3), ("rectangle", 4)):
+        raise ValueError("triangle carries 3 particles, rectangle 4")
+    if config.statistics not in ("fermion", "boson"):
+        raise ValueError(f"unknown statistics {config.statistics!r}")
+    return mos, config.grid_spec()
+
+
 def run_density(config: ExperimentConfig) -> RunReport:
     """Render the configured geometry's density maps and flux fields."""
-    mos = _geometry_mos(config)
+    mos, spec = _density_inputs(config)
     n = config.particles
-    if (config.geometry, n) not in (("triangle", 3), ("rectangle", 4)):
-        raise ValueError("triangle carries 3 particles, rectangle 4")
-    spec = config.grid_spec()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -498,14 +507,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
         )
     )
 
-    wg, we = (2.0 / 3.0, 1.0 / 3.0) if n == 3 else (0.5, 0.5)
-
-    def marginal(x, y):
-        g = mos["g"].evaluate(x, y)
-        e = mos["e"].evaluate(x, y)
-        return wg * g * g + we * e * e
-
-    report = density_maps.antibunching_check(kernel, marginal, spec)
+    report = density_maps.antibunching_check(kernel, single, spec)
     assertions.append(
         AssertionResult(
             "antibunched at all qualifying points",
@@ -830,14 +832,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_inputs(verb: str, config: ExperimentConfig) -> None:
+    """Raise ValueError, before any work, on an input the verb cannot run."""
+    for f in fields(ExperimentConfig):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, not {value!r}")
+    if verb == "hom":
+        _hom_input(config.statistics, config.convention, config.input)
+        beamsplitter(config.theta, config.convention)
+    elif verb == "density":
+        _density_inputs(config)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one verb: exit 0 if every check passes, 1 if one fails, 2 on
+    invalid input (one line on stderr, nothing written)."""
     args = _build_parser().parse_args(argv)
-    config = _load_config(args)
+    try:
+        config = _load_config(args)
+        if args.verb == "density" and args.geometry == "rectangle" and args.particles is None:
+            config = replace(config, particles=4)
+        _check_inputs(args.verb, config)
+    except (OSError, ValueError) as exc:
+        print(f"fewbody: error: {exc}", file=sys.stderr)
+        return 2
     if args.verb == "hom":
         report = run_hom(config)
     elif args.verb == "density":
-        if args.geometry == "rectangle" and args.particles is None:
-            config = replace(config, particles=4)
         report = run_density(config)
     else:
         report = run_verify(config)

@@ -38,6 +38,8 @@ class GridSpec:
     resolution: tuple[int, int] = (DEFAULT_RESOLUTION, DEFAULT_RESOLUTION)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.x_range, *self.y_range))):
+            raise ValueError("grid ranges must be finite")
         if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
             raise ValueError("grid ranges must be non-degenerate")
         if min(self.resolution) < 8:
@@ -127,18 +129,38 @@ def ground_pair_kernel(
 
 @dataclass(frozen=True)
 class PairDensityKernel:
-    """Evaluable two-point density; symmetric under argument exchange."""
+    """Evaluable two-point density; symmetric under argument exchange.
+
+    A point is an (x, y) pair of scalars or arrays, or a GridSpec standing
+    for every cell of that grid.  The kernel evaluates its orbitals on a
+    grid once and reuses the (read-only) values in every later call on that
+    grid, for as long as the kernel lives.
+    """
 
     n: int
     density: ReducedDensity
     mos: Mapping[str, MolecularOrbital]
+    _grid_orbitals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, r1, r2):
         evaluator = {label: mo.evaluate for label, mo in self.mos.items()}
-        return evaluate_density(self.density, evaluator, [tuple(r1), tuple(r2)])
+        points = [self._on_grid(r) if isinstance(r, GridSpec) else tuple(r) for r in (r1, r2)]
+        return evaluate_density(self.density, evaluator, points)
+
+    def _on_grid(self, spec: GridSpec) -> dict[str, np.ndarray]:
+        orbital_values = self._grid_orbitals.get(spec)
+        if orbital_values is None:
+            x, y = spec.meshgrid()
+            labels = {label for (ket, bra), _ in self.density.terms for label in ket + bra}
+            orbital_values = {label: self.mos[label].evaluate(x, y) for label in sorted(labels)}
+            for values in orbital_values.values():
+                values.flags.writeable = False
+            self._grid_orbitals[spec] = orbital_values
+        return orbital_values
 
     def diagonal(self, x, y):
-        return self((x, y), (x, y))
+        point = (x, y)
+        return self(point, point)
 
 
 def pair_density(
@@ -152,6 +174,13 @@ def pair_density(
     return PairDensityKernel(n, ground_pair_kernel(n, statistics), mos)
 
 
+def _every_cell(kernel: Callable, spec: GridSpec):
+    """The kernel argument for every cell of spec: the spec itself for a
+    PairDensityKernel, which then reuses its orbital values, else the
+    meshgrid."""
+    return spec if isinstance(kernel, PairDensityKernel) else spec.meshgrid()
+
+
 def conditional_density(
     kernel: Callable,
     r0: Point,
@@ -163,8 +192,7 @@ def conditional_density(
     plotted grid; the marginal weight at r0 is kept in the metadata.
     """
     spec = spec or GridSpec()
-    x, y = spec.meshgrid()
-    slice_values = np.asarray(kernel((x, y), r0), dtype=float)
+    slice_values = np.asarray(kernel(_every_cell(kernel, spec), r0), dtype=float)
     marginal = float(slice_values.sum()) * spec.cell_area
     if marginal <= 1e-15:
         raise ValueError("conditioning point has vanishing marginal density")
@@ -193,29 +221,37 @@ class AntibunchingReport:
 
 def antibunching_check(
     kernel: Callable,
-    marginal: Callable,
+    marginal: Callable | DensityGrid,
     spec: GridSpec | None = None,
     density_floor: float = 1e-8,
 ) -> AntibunchingReport:
     """Compare pair(r, r) against the independent-events benchmark rho(r)^2.
 
-    Only grid points with rho(r) above `density_floor` participate; the
-    report carries the maximum ratio pair(r,r)/rho(r)^2 and where it
-    occurs.  Strict inequality everywhere marks the state antibunched.
+    rho is marginal(x, y), or the values of a one-particle density already
+    sampled on spec.  Only grid points with rho(r) above `density_floor`
+    participate; the report carries the maximum ratio pair(r,r)/rho(r)^2
+    and where it occurs.  Strict inequality everywhere marks the state
+    antibunched.
     """
     spec = spec or GridSpec()
-    x, y = spec.meshgrid()
-    rho = np.asarray(marginal(x, y), dtype=float)
-    coincidence = np.asarray(kernel((x, y), (x, y)), dtype=float)
+    if isinstance(marginal, DensityGrid):
+        if marginal.spec != spec:
+            raise ValueError("marginal density is sampled on another grid")
+        rho = marginal.values
+    else:
+        rho = np.asarray(marginal(*spec.meshgrid()), dtype=float)
+    grid = _every_cell(kernel, spec)
+    coincidence = np.asarray(kernel(grid, grid), dtype=float)
     mask = rho > density_floor
     ratios = np.where(mask, coincidence / np.where(mask, rho * rho, 1.0), -np.inf)
     idx = int(np.argmax(ratios))
     i, j = np.unravel_index(idx, ratios.shape)
     max_ratio = float(ratios[i, j])
+    xs, ys = spec.axes()
     return AntibunchingReport(
         antibunched=bool(max_ratio < 1.0),
         max_ratio=max_ratio,
-        location=(float(x[i, j]), float(y[i, j])),
+        location=(float(xs[i]), float(ys[j])),
         points_checked=int(mask.sum()),
     )
 
@@ -224,11 +260,14 @@ def probability_flux(mo: MolecularOrbital, spec: GridSpec | None = None) -> Dens
     """Probability current j = Im[phi* grad phi] of a molecular orbital."""
     spec = spec or GridSpec()
     x, y = spec.meshgrid()
+    # phi and each gradient component are arrays of this call's own, so
+    # conj(phi) * g is formed in place
     phi = np.asarray(mo.evaluate(x, y), dtype=complex)
-    gx, gy = mo.gradient(x, y)
-    jx = np.imag(np.conj(phi) * np.asarray(gx, dtype=complex))
-    jy = np.imag(np.conj(phi) * np.asarray(gy, dtype=complex))
-    values = np.stack([jx, jy], axis=-1)
+    np.conjugate(phi, out=phi)
+    gx, gy = (np.asarray(g, dtype=complex) for g in mo.gradient(x, y))
+    np.multiply(phi, gx, out=gx)
+    np.multiply(phi, gy, out=gy)
+    values = np.stack([gx.imag, gy.imag], axis=-1)
     return DensityGrid(spec, values, {"quantity": f"flux_{mo.label}"})
 
 

@@ -36,9 +36,22 @@ class SiteOrbital:
             raise ValueError("width must be positive")
 
     def evaluate(self, x, y):
+        """exp(-r^2 / 2w^2) / (w sqrt(pi)), in place on one buffer for arrays.
+
+        Augmented operators keep numpy's choices: `**= 2` squares an array
+        and calls pow on a scalar, as `** 2` does.  (-r2) / k and r2 / (-k)
+        round alike, since IEEE division is sign-symmetric.
+        """
         cx, cy = self.center
-        r2 = (np.asarray(x, dtype=float) - cx) ** 2 + (np.asarray(y, dtype=float) - cy) ** 2
-        return np.exp(-r2 / (2.0 * self.width**2)) / (self.width * math.sqrt(math.pi))
+        phi = np.subtract(x, cx, dtype=float)
+        phi **= 2
+        dy = np.subtract(y, cy, dtype=float)
+        dy **= 2
+        phi += dy
+        phi /= -(2.0 * self.width**2)
+        phi = np.exp(phi, out=phi if isinstance(phi, np.ndarray) else None)
+        phi /= self.width * math.sqrt(math.pi)
+        return phi
 
     def gradient(self, x, y):
         cx, cy = self.center
@@ -142,12 +155,23 @@ class MolecularOrbital:
         return math.sqrt(float(np.real(coeffs.conj() @ s @ coeffs)))
 
     def evaluate(self, x, y):
+        """phi(x, y); float64 when every coefficient is real.
+
+        Real coefficients accumulate in float arithmetic, which gives the
+        real part of the complex products and sums bit for bit.
+        """
+        real = self.is_real()
         total = None
         for coeff, (_, site) in zip(self.coefficients, self.geometry.sites):
-            term = coeff * site.evaluate(x, y)
-            total = term if total is None else total + term
-        if self.is_real():
-            return np.real(total) if isinstance(total, np.ndarray) else total.real
+            term = site.evaluate(x, y)
+            if real:
+                term *= coeff.real
+            else:
+                term = coeff * term
+            if total is None:
+                total = term
+            else:
+                total += term
         return total
 
     def gradient(self, x, y):
@@ -160,16 +184,6 @@ class MolecularOrbital:
         if self.is_real():
             return np.real(gx_total), np.real(gy_total)
         return gx_total, gy_total
-
-
-def evaluate(mo: MolecularOrbital, point) -> complex:
-    x, y = point
-    return mo.evaluate(x, y)
-
-
-def gradient(mo: MolecularOrbital, point):
-    x, y = point
-    return mo.gradient(x, y)
 
 
 def mo_gram(mos: Mapping[str, MolecularOrbital]) -> np.ndarray:

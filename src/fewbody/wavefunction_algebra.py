@@ -112,10 +112,6 @@ class PositionWavefunction:
         return self + other.scaled(-1)
 
 
-def permute_arguments(wf: PositionWavefunction, p: Permutation) -> PositionWavefunction:
-    return wf.permuted(p)
-
-
 def position_inner_product(
     a: PositionWavefunction, b: PositionWavefunction
 ) -> SqrtRational:
@@ -435,34 +431,57 @@ def evaluate_density(
 ):
     """Evaluate the kernel diagonal at one position per kept coordinate.
 
-    orbital_evaluator resolves a label to phi(x, y); points is a sequence
-    of (x, y) pairs (scalars or arrays) aligned with the kept coordinates.
+    orbital_evaluator resolves a label to phi(x, y).  points holds one entry
+    per kept coordinate: an (x, y) pair (scalars or arrays), or a mapping
+    from label to that coordinate's orbital values, already evaluated.
+    Coordinates given the same point object share their orbital values.
+
+    When every coefficient and every orbital value is real, the products
+    and sums run in float64: they give the real part of the complex ones
+    bit for bit, since the imaginary parts are all zero.
     """
     if len(points) != len(density.kept):
         raise ValueError("one point per kept coordinate required")
 
-    def resolve(label: str, x, y):
+    def resolve(label: str, point):
+        if isinstance(point, Mapping):
+            return point[label]
+        x, y = point
         if callable(orbital_evaluator):
             return orbital_evaluator(label, x, y)
         return orbital_evaluator[label](x, y)
 
-    cache: dict[tuple[int, str], object] = {}
-
-    def phi(idx: int, label: str):
-        key = (idx, label)
-        if key not in cache:
-            x, y = points[idx]
-            cache[key] = resolve(label, x, y)
-        return cache[key]
+    phi: dict[tuple[int, str], object] = {}
+    for (ket, bra), _ in density.terms:
+        for point, *labels in zip(points, ket, bra):
+            for label in labels:
+                if (id(point), label) not in phi:
+                    phi[id(point), label] = resolve(label, point)
+    coefs = [complex(coef) for _, coef in density.terms]
+    real = all(c.imag == 0 for c in coefs) and not any(map(np.iscomplexobj, phi.values()))
+    if real:
+        coefs = [c.real for c in coefs]
+    phi_conj = phi if real else {key: np.conjugate(v) for key, v in phi.items()}
 
     total = None
-    for (ket, bra), coef in density.terms:
-        value = complex(coef)
-        for idx in range(len(density.kept)):
-            value = value * phi(idx, ket[idx]) * phi(idx, bra[idx]).conjugate()
-        total = value if total is None else total + value
+    for ((ket, bra), _), coef in zip(density.terms, coefs):
+        factors = [
+            f
+            for point, k, b in zip(points, ket, bra)
+            for f in (phi[id(point), k], phi_conj[id(point), b])
+        ]
+        # the first product is a new array: the orbital values stay unchanged
+        value = coef * factors[0]
+        for factor in factors[1:]:
+            value *= factor
+        if total is None:
+            total = value
+        else:
+            total += value
     if total is None:
         return 0.0
+    if real:
+        return total if np.ndim(total) else float(total)
     # Hermitian kernels evaluate to real diagonals; drop roundoff imaginary.
     arr = np.asarray(total)
     if np.iscomplexobj(arr):

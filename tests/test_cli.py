@@ -328,19 +328,36 @@ def test_write_csv_matches_repr_of_every_float(tmp_path: Path) -> None:
     assert (tmp_path / "flux.csv").read_text() == "\n".join(expected) + "\n"
 
 
-def test_density_rejects_mismatched_particle_count(tmp_path: Path) -> None:
-    with pytest.raises(ValueError):
-        main(
-            [
-                "density",
-                "--geometry",
-                "triangle",
-                "--particles",
-                "4",
-                "--output-dir",
-                str(tmp_path),
-            ]
-        )
+def _assert_invalid_input(code: int, capsys, output_dir: Path) -> None:
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("fewbody: error: ")
+    assert captured.err.count("\n") == 1
+    assert not output_dir.exists()
+
+
+def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> None:
+    out = tmp_path / "out"
+    code = main(
+        ["density", "--geometry", "triangle", "--particles", "4", "--output-dir", str(out)]
+    )
+    _assert_invalid_input(code, capsys, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--set", "nx=4"],
+        ["density", "--a", "-1"],
+        ["density", "--set", "x_min=nan"],
+        ["hom", "--input", "XX"],
+    ],
+    ids=["nx=4", "a=-1", "x_min=nan", "hom-input-XX"],
+)
+def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys) -> None:
+    out = tmp_path / "out"
+    _assert_invalid_input(main([*argv, "--output-dir", str(out)]), capsys, out)
 
 
 def test_environment_variable_overrides_output_dir(

@@ -32,6 +32,19 @@ def test_grid_spec_validation() -> None:
         GridSpec(y_range=(2.0, -2.0))
 
 
+@pytest.mark.parametrize(
+    "x_range, y_range",
+    [
+        ((math.nan, 6.0), (-6.0, 6.0)),
+        ((-6.0, 6.0), (-6.0, math.inf)),
+        ((-math.inf, 6.0), (-6.0, 6.0)),
+    ],
+)
+def test_grid_spec_rejects_non_finite_ranges(x_range, y_range) -> None:
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(x_range=x_range, y_range=y_range)
+
+
 def test_grid_axes_use_cell_midpoints() -> None:
     spec = GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 2.0), resolution=(10, 20))
     xs, ys = spec.axes()
@@ -276,3 +289,54 @@ def test_interior_plateau_shoulder_is_not_a_peak() -> None:
     values[6, 6] = 2.0
     peaks = local_maxima(DensityGrid(spec, values, {}))
     assert len(peaks) == 1
+
+
+def test_kernel_grid_values_are_read_only_and_results_are_fresh() -> None:
+    mos = rectangle_mos(2.0, 2.0)
+    kernel = pair_density(4, mos)
+    spec = GridSpec(resolution=(33, 33))
+    r0 = (-1.0, 1.0)
+    first = conditional_density(kernel, r0, spec).values.copy()
+    diagonal = kernel(spec, spec).copy()
+    single = single_density(4, mos, spec).values.copy()
+
+    cached = kernel._on_grid(spec)
+    assert sorted(cached) == ["e", "g"]
+    for values in cached.values():
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+    # what the grid path returns belongs to the caller: writing into it
+    # must not reach a later call
+    conditional_density(kernel, r0, spec).values[...] = -1.0
+    kernel(spec, spec)[...] = -1.0
+    kernel(spec, r0)[...] = -1.0
+
+    assert np.array_equal(conditional_density(kernel, r0, spec).values, first)
+    assert np.array_equal(kernel(spec, spec), diagonal)
+    assert np.array_equal(single_density(4, mos, spec).values, single)
+    # the cached path agrees bit for bit with evaluating on the meshgrid
+    x, y = spec.meshgrid()
+    assert np.array_equal(kernel(spec, r0), kernel((x, y), r0))
+    assert np.array_equal(kernel(spec, spec), kernel((x, y), (x, y)))
+
+
+def test_grid_values_are_cached_per_kernel_and_per_grid() -> None:
+    mos = triangle_mos(2.0, 2.5)
+    kernel = pair_density(3, mos)
+    other = pair_density(3, mos)
+    spec = GridSpec(resolution=(17, 17))
+    conditional_density(kernel, (0.0, 2.5), spec)
+    assert kernel._on_grid(spec) is kernel._on_grid(spec)
+    assert other._on_grid(spec) is not kernel._on_grid(spec)
+    assert kernel._on_grid(COARSE) is not kernel._on_grid(spec)
+
+
+def test_antibunching_accepts_the_single_density_as_marginal() -> None:
+    mos = triangle_mos(2.0, 2.5)
+    kernel = pair_density(3, mos)
+    single = single_density(3, mos, COARSE)
+    from_grid = antibunching_check(kernel, single, COARSE)
+    assert from_grid == antibunching_check(kernel, _hund_marginal(3, mos), COARSE)
+    with pytest.raises(ValueError):
+        antibunching_check(kernel, single, GridSpec(resolution=(17, 17)))

@@ -1,16 +1,23 @@
-"""End-to-end byte identity of the `density` verb.
+"""End-to-end byte identity of the `density` verb and of the grid maps.
 
-Two small runs are pinned by the sha256 and byte count of every file they
-write and by their full rendered stdout.  The values were recorded from the
-code before the exact-layer caches and the streaming CSV writer went in, so
-any change to a written float, a file name or a printed check line fails
-here.  Refactors that keep the output contract must keep these green.
+Small runs are pinned by the sha256 and byte count of every file they write
+and by their full rendered stdout.  The 16x16 values were recorded from the
+code before the exact-layer caches and the streaming CSV writer went in; the
+17x17 values and the library-level map hashes were recorded before orbitals
+and real kernels were evaluated in float64 and orbital grids were cached.  At
+an odd resolution a symmetry axis lies on grid points, where an orbital is
+exactly zero, so a change in the sign of a zero shows here too.  Any change
+to a written float, a file name or a printed check line fails here.
+Refactors that keep the output contract must keep these green.
 """
+import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fewbody import density_maps, orbitals
 from fewbody.cli import main
 
 GRID_16 = ["--set", "nx=16", "--set", "ny=16", "--output-dir", "out"]
@@ -111,13 +118,109 @@ SQUARE_FILES = {
 }
 
 
+GRID_17 = ["--set", "nx=17", "--set", "ny=17", "--output-dir", "out"]
+
+TRIANGLE_17_ARGS = ["density", *GRID_17]
+
+TRIANGLE_17_STDOUT = """\
+== density:experiment ==
+   geometry: triangle
+   dimensions: a=2 h=2.5
+   particles: 3
+   grid: 17x17
+[PASS] single density integrates to 1  (integral 1.000000)
+[PASS] dual-construction pair kernels agree  (max deviation 0.000e+00)
+[PASS] statistics-independent pair kernel  (max deviation 0.000e+00)
+[PASS] antibunched at all qualifying points  (max ratio 0.750000 at (-3.5294117647058822, 2.1176470588235308))
+[PASS] conditional map 1 integrates to 1  (conditioned at (0, 2.5))
+[PASS] conditional map 2 integrates to 1  (conditioned at (-1, 0))
+[PASS] conditional map 3 integrates to 1  (conditioned at (1, 0))
+   antibunching points checked = 160
+   wrote out/experiment_single.csv
+   wrote out/experiment_single.pgm
+   wrote out/experiment_conditional_1.csv
+   wrote out/experiment_conditional_1.ppm
+   wrote out/experiment_conditional_2.csv
+   wrote out/experiment_conditional_2.ppm
+   wrote out/experiment_conditional_3.csv
+   wrote out/experiment_conditional_3.ppm
+RESULT: PASS
+"""
+
+TRIANGLE_17_FILES = {
+    "experiment_conditional_1.csv": (6382, "e6dcc4c0254d54e3a1d0e8ad6c8cf6e83d25c46dc3e2bc7b054a6034ab77309e"),
+    "experiment_conditional_1.ppm": (880, "db922c157d8397fea8666836eddd7d044ae4031391844e1e71a3e7302e9fabfb"),
+    "experiment_conditional_2.csv": (6415, "2ddb76ff4fa5afd95f60088a7f8cee8c03710a2154e6651458647c23ab292c12"),
+    "experiment_conditional_2.ppm": (880, "06afedfc8a985417cd8f02ae094315e6f9230de3649fa17595230cec34fd3634"),
+    "experiment_conditional_3.csv": (6415, "2ddb76ff4fa5afd95f60088a7f8cee8c03710a2154e6651458647c23ab292c12"),
+    "experiment_conditional_3.ppm": (880, "f407c73bfd3366d73d38713dbab248b5b0b5f3fe0f2cd81dd9f8cdf8a5b548d1"),
+    "experiment_single.csv": (6404, "bdab817e765ecbdad78c6e514312bc433f5dad7ebd8640bab29b1816beb4c899"),
+    "experiment_single.pgm": (302, "460cc3879ca148802fecde1318443c1b9596fe9f2742a2dc6e8f8a9a0c4b1f5c"),
+}
+
+SQUARE_17_ARGS = [*SQUARE_ARGS[: -len(GRID_16)], *GRID_17]
+
+SQUARE_17_STDOUT = """\
+== density:experiment ==
+   geometry: rectangle
+   dimensions: a=2 b=2
+   particles: 4
+   grid: 17x17
+[PASS] single density integrates to 1  (integral 1.000000)
+[PASS] dual-construction pair kernels agree  (max deviation 0.000e+00)
+[PASS] statistics-independent pair kernel  (max deviation 0.000e+00)
+[PASS] antibunched at all qualifying points  (max ratio 0.666667 at (-4.9411764705882355, 0.7058823529411766))
+[PASS] conditional map 1 integrates to 1  (conditioned at (-1, 1))
+[PASS] conditional map 2 integrates to 1  (conditioned at (1, 1))
+[PASS] conditional map 3 integrates to 1  (conditioned at (1, -1))
+[PASS] conditional map 4 integrates to 1  (conditioned at (-1, -1))
+[PASS] flux fields of conjugate combinations are opposite  (max |j+ + j-| = 0.000e+00)
+[PASS] boson and fermion densities agree at balance  (max deviation 2.118e-22)
+   antibunching points checked = 167
+   wrote out/experiment_single.csv
+   wrote out/experiment_single.pgm
+   wrote out/experiment_conditional_1.csv
+   wrote out/experiment_conditional_1.ppm
+   wrote out/experiment_conditional_2.csv
+   wrote out/experiment_conditional_2.ppm
+   wrote out/experiment_conditional_3.csv
+   wrote out/experiment_conditional_3.ppm
+   wrote out/experiment_conditional_4.csv
+   wrote out/experiment_conditional_4.ppm
+   wrote out/experiment_flux_plus.csv
+   wrote out/experiment_flux_plus.pgm
+   wrote out/experiment_flux_minus.csv
+   wrote out/experiment_flux_minus.pgm
+RESULT: PASS
+"""
+
+SQUARE_17_FILES = {
+    "experiment_conditional_1.csv": (6384, "0233a3c16adc0c8344998c28ba68ae9f4d9b6785142e014a06c9f228a5edd18d"),
+    "experiment_conditional_1.ppm": (880, "eacea3c4759846fff343d731ce40ac0d6f956bbf4dd33e6653fe6d2f9ef00655"),
+    "experiment_conditional_2.csv": (6382, "8df4b50b0c429985dd50f3f98380d128bed0c3405930503c879873fa4dd1089b"),
+    "experiment_conditional_2.ppm": (880, "258d36baa11e242a521628f4c70dea5bb18fced5a9423bd43f813bc6aa23dc6e"),
+    "experiment_conditional_3.csv": (6374, "e0e6ff15b1bcf9207bee2821321ea0e5ae9189bc6477e7dffd17b0cb60094665"),
+    "experiment_conditional_3.ppm": (880, "a67d14490fbbbd0863b9ecdd9589072c0ff030b760e25f42fe222b7da09a83bf"),
+    "experiment_conditional_4.csv": (6378, "611af07e15bef9dec94d5678f16e2af00441493a78469eec94a7e8d91cafe071"),
+    "experiment_conditional_4.ppm": (880, "75316ff74481f1066d2e85c02f9fd25f3d70542a78f77dc8625331b0c08f6341"),
+    "experiment_flux_minus.csv": (12665, "ee45fae383cfdb3f7cb7ed4159abdac6a3899d647f16d57cc695f0acc4baa613"),
+    "experiment_flux_minus.pgm": (302, "9f2be090524ee3a25152c08b28206b862ada2244f9b9325759b178c13a12d1fe"),
+    "experiment_flux_plus.csv": (12661, "f6b6ff259fc2b8f96f1b9dfa036cd5b3257b7baa5ada594a0e20c8f147eb03f0"),
+    "experiment_flux_plus.pgm": (302, "9f2be090524ee3a25152c08b28206b862ada2244f9b9325759b178c13a12d1fe"),
+    "experiment_single.csv": (6347, "a8577354a400e957c546b0916f8ca111a57346b7e642e4a8e74818a45ced4e3c"),
+    "experiment_single.pgm": (302, "209d0cee36a0b9b9f8cde7f7c3e704a794ef3a751516860385d44268b233d45d"),
+}
+
+
 @pytest.mark.parametrize(
     "argv, stdout, files",
     [
         (TRIANGLE_ARGS, TRIANGLE_STDOUT, TRIANGLE_FILES),
         (SQUARE_ARGS, SQUARE_STDOUT, SQUARE_FILES),
+        (TRIANGLE_17_ARGS, TRIANGLE_17_STDOUT, TRIANGLE_17_FILES),
+        (SQUARE_17_ARGS, SQUARE_17_STDOUT, SQUARE_17_FILES),
     ],
-    ids=["triangle", "square-balanced"],
+    ids=["triangle", "square-balanced", "triangle-odd", "square-balanced-odd"],
 )
 def test_density_outputs_are_byte_identical(
     argv, stdout, files, tmp_path: Path, capsys, monkeypatch
@@ -131,3 +234,71 @@ def test_density_outputs_are_byte_identical(
         data = path.read_bytes()
         written[path.name] = (len(data), hashlib.sha256(data).hexdigest())
     assert written == files
+
+
+# sha256 of the float64 bytes of every map at 33x33, by geometry
+MAP_HASHES = {
+    "triangle": {
+        "single": "de79c5b413534c0ff05f7ed5e9a1a1972a7582ffd7171ee5e33fd115c9ab501a",
+        "antibunching": "6f1f979026b2eaee55685946786c8d40f1be4957c50ce8bbf920f07dc151108d",
+        "conditional_A": "e2cd8d0d119be3da14949f92f8c76b17d61d5143491f3942bfc45c78919b214d",
+        "conditional_B": "5fa5ee4f16d77ab775baafea5f2e2a42985b6e7212aadac3ff14a278e9c530e4",
+        "conditional_C": "5fa5ee4f16d77ab775baafea5f2e2a42985b6e7212aadac3ff14a278e9c530e4",
+        "flux_e": "93a010c8e004aaa1cc51bf71b1b20097a1e15bc5a488b716c9aaf26270d4c924",
+        "flux_e'": "adb12b1b46d0ca83efb3d036411e5eedfdbea61dfc70f29c2302e73c68df224a",
+    },
+    "square": {
+        "single": "87bb10f4291b4d67bd82e84e0e743a0dce507d41c2c2b5b971baec49aa040e47",
+        "antibunching": "61034e04ed285ba76bc3923c4a8789ced95c5df3739946bb9fb6bac26f000713",
+        "conditional_A": "1c7a31f7764b789245b2259755c1b3ec5804e6ffa16eb3d8a117e9775948ab59",
+        "conditional_B": "ea51cf527682a93aa439a0c47fd14d16021c270bc4bf8ae37b8696d4c974075c",
+        "conditional_C": "948846b2f875d342c466c7ba9949643af8433a4e166b7613aabd2a9ea050c87e",
+        "conditional_D": "d3f34e5326da7f88db189059301247a5a19fcb8f375f03b8c9ae5f56d6af565e",
+        "flux_e+ie'": "a358a149b6cc2bdc59cf4dbc544f5e41818d21d88da46a0b7a1100e6180c5db2",
+        "flux_e-ie'": "fb2b38d0009854673fcd172a2dda5e8e67268869c2bb89616d305853920b2da1",
+    },
+}
+
+GEOMETRIES = {
+    "triangle": (3, lambda: orbitals.triangle_mos(2.0, 2.5)),
+    "square": (4, lambda: orbitals.rectangle_mos(2.0, 2.0)),
+}
+
+
+def _sha(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _marginal(n: int, mos: dict):
+    wg, we = (2.0 / 3.0, 1.0 / 3.0) if n == 3 else (0.5, 0.5)
+
+    def marginal(x, y):
+        g = mos["g"].evaluate(x, y)
+        e = mos["e"].evaluate(x, y)
+        return wg * g * g + we * e * e
+
+    return marginal
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_library_maps_are_bit_identical(geometry: str) -> None:
+    n, build = GEOMETRIES[geometry]
+    mos = build()
+    spec = density_maps.GridSpec(resolution=(33, 33))
+    hashes = {"single": _sha(density_maps.single_density(n, mos, spec).values)}
+    kernel = density_maps.pair_density(n, mos)
+    report = density_maps.antibunching_check(kernel, _marginal(n, mos), spec)
+    hashes["antibunching"] = hashlib.sha256(
+        repr(dataclasses.astuple(report)).encode()
+    ).hexdigest()
+    for label, site in mos["g"].geometry.sites:
+        cond = density_maps.conditional_density(kernel, site.center, spec)
+        hashes[f"conditional_{label}"] = _sha(cond.values)
+    if geometry == "square":
+        flux_mos = orbitals.degenerate_superpositions(mos["e"], mos["e'"])
+        flux_labels = ("e+ie'", "e-ie'")
+    else:
+        flux_mos, flux_labels = mos, ("e", "e'")
+    for label in flux_labels:
+        hashes[f"flux_{label}"] = _sha(density_maps.probability_flux(flux_mos[label], spec).values)
+    assert hashes == MAP_HASHES[geometry]

@@ -5,13 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from fewbody.density_maps import GridSpec
 from fewbody.orbitals import (
     Geometry,
     MolecularOrbital,
     SiteOrbital,
     degenerate_superpositions,
-    evaluate,
-    gradient,
     mo_gram,
     overlap,
     rectangle_mos,
@@ -169,17 +168,6 @@ def test_mo_gradient_matches_finite_differences() -> None:
             assert gy == pytest.approx(fy, abs=1e-8)
 
 
-def test_module_level_helpers() -> None:
-    mos = triangle_mos(2.0, 2.5)
-    point = (0.4, 1.1)
-    assert evaluate(mos["g"], point) == pytest.approx(
-        mos["g"].evaluate(*point), abs=0.0
-    )
-    gx, gy = gradient(mos["g"], point)
-    ex, ey = mos["g"].gradient(*point)
-    assert (gx, gy) == (ex, ey)
-
-
 def test_degenerate_superpositions_require_a_square() -> None:
     rect = rectangle_mos(2.0, 2.5)
     with pytest.raises(ValueError):
@@ -230,3 +218,45 @@ def test_figure_mo_sets_never_need_the_fallback() -> None:
         triangle_mos(2.0, 2.5)
         rectangle_mos(2.0, 2.5)
         rectangle_mos(2.0, 2.0)
+
+
+def _reference_site(site: SiteOrbital, x, y):
+    cx, cy = site.center
+    r2 = (np.asarray(x, dtype=float) - cx) ** 2 + (np.asarray(y, dtype=float) - cy) ** 2
+    return np.exp(-r2 / (2.0 * site.width**2)) / (site.width * math.sqrt(math.pi))
+
+
+def _reference_mo(mo: MolecularOrbital, x, y):
+    """Complex accumulation, real part taken at the end when is_real()."""
+    total = None
+    for coeff, (_, site) in zip(mo.coefficients, mo.geometry.sites):
+        term = complex(coeff) * _reference_site(site, x, y)
+        total = term if total is None else total + term
+    return np.real(total) if mo.is_real() else total
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.tobytes()
+
+
+def test_site_evaluation_matches_the_closed_form_bit_for_bit() -> None:
+    """On arrays and on scalars: for a scalar `** 2` is pow, not a product,
+    and the two round differently at about one point in a thousand."""
+    site = SiteOrbital((-1.0, 1.25), 1.3)
+    x, y = np.random.default_rng(7).uniform(-8.0, 8.0, (2, 20000))
+    assert _bits(site.evaluate(x, y)) == _bits(_reference_site(site, x, y))
+    for a, b in zip(x.tolist(), y.tolist()):
+        assert _bits(site.evaluate(a, b)) == _bits(_reference_site(site, a, b))
+
+
+def test_mo_evaluation_matches_complex_accumulation_bit_for_bit() -> None:
+    square = rectangle_mos(2.0, 2.0)
+    sets = [triangle_mos(2.0, 2.5), square, degenerate_superpositions(square["e"], square["e'"])]
+    # an odd grid puts the symmetry axes, where odd orbitals vanish, on grid points
+    x, y = GridSpec(resolution=(17, 17)).meshgrid()
+    for mos in sets:
+        for mo in mos.values():
+            assert _bits(mo.evaluate(x, y)) == _bits(_reference_mo(mo, x, y))
+            for a, b in ((0.0, 0.0), (1.0, -1.0), (0.3, 2.5)):
+                assert _bits(mo.evaluate(a, b)) == _bits(_reference_mo(mo, a, b))

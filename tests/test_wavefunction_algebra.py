@@ -296,3 +296,119 @@ def test_assemble_state_invalid_arguments_raise_on_every_call() -> None:
             assemble_state(3, "low", "fermion", None, 0.3)
         with pytest.raises(ValueError):
             assemble_state(5, "low", "fermion")
+
+
+def _complex_reference(density, evaluator, points):
+    """The complex128 loop evaluate_density ran before its float64 path:
+    every coefficient and orbital value complex, every label evaluated
+    once per coordinate index."""
+    cache = {}
+
+    def phi(idx, label):
+        if (idx, label) not in cache:
+            x, y = points[idx]
+            cache[idx, label] = evaluator[label](x, y)
+        return cache[idx, label]
+
+    total = None
+    for (ket, bra), coef in density.terms:
+        value = complex(coef)
+        for idx in range(len(density.kept)):
+            value = value * phi(idx, ket[idx]) * phi(idx, bra[idx]).conjugate()
+        total = value if total is None else total + value
+    arr = np.asarray(total)
+    scale = float(np.max(np.abs(arr))) or 1.0
+    if float(np.max(np.abs(arr.imag))) <= 1e-12 * scale:
+        return arr.real if arr.shape else float(arr.real)
+    return total
+
+
+def _bits(values):
+    values = np.asarray(values)
+    return values.dtype, values.shape, values.tobytes()
+
+
+def _odd_grid():
+    # at an odd resolution x = 0 and y = 0 are grid points, where the odd
+    # orbitals are exactly zero
+    from fewbody.density_maps import GridSpec
+
+    return GridSpec(resolution=(17, 17)).meshgrid()
+
+
+@pytest.mark.parametrize("n, statistics", [(3, "fermion"), (4, "boson")])
+def test_float_path_equals_the_complex_loop_bit_for_bit(n, statistics) -> None:
+    from fewbody.orbitals import rectangle_mos, triangle_mos
+
+    mos = triangle_mos(2.0, 2.5) if n == 3 else rectangle_mos(2.0, 2.0)
+    evaluator = {label: mo.evaluate for label, mo in mos.items()}
+    state = assemble_state(n, "low", statistics)
+    kernel = marginalize(spin_trace_pair(state, state), (1, 2))
+    grid = _odd_grid()
+    for points in ([grid, grid], [grid, (1.0, 0.0)], [(0.0, 2.5), (0.25, -1.0)]):
+        value = evaluate_density(kernel, evaluator, points)
+        expected = _complex_reference(kernel, evaluator, points)
+        assert not np.iscomplexobj(value)
+        assert _bits(value) == _bits(expected)
+
+
+def test_complex_orbitals_take_the_complex_path() -> None:
+    from fewbody.orbitals import degenerate_superpositions, rectangle_mos
+
+    mos = rectangle_mos(2.0, 2.0)
+    circulating = degenerate_superpositions(mos["e"], mos["e'"])["e+ie'"]
+    assert not circulating.is_real()
+    evaluator = {"g": mos["g"].evaluate, "e": circulating.evaluate}
+    state = assemble_state(4, "low", "fermion")
+    kernel = marginalize(spin_trace_pair(state, state), (1, 2))
+    grid = _odd_grid()
+    value = evaluate_density(kernel, evaluator, [grid, (1.0, -1.0)])
+    assert _bits(value) == _bits(_complex_reference(kernel, evaluator, [grid, (1.0, -1.0)]))
+
+
+@pytest.mark.parametrize("assignment", ["ground", "generic"])
+def test_conjugate_weighted_kernels_match_the_complex_loop(assignment) -> None:
+    """The balance check's kernel C1 Psi1 + C1* Psi2.  At the ground
+    assignment the two branches lie on one ray, the imaginary parts of the
+    cross terms cancel exactly and the float64 path runs; at the generic
+    assignment they do not, and the complex path runs."""
+    from fewbody.orbitals import rectangle_mos
+
+    mos = rectangle_mos(2.0, 2.0)
+    labels = GENERIC_ASSIGNMENT[4] if assignment == "generic" else ("g", "e")
+    evaluator = {label: mo.evaluate for label, mo in zip(labels, mos.values())}
+    orbitals = GENERIC_ASSIGNMENT[4] if assignment == "generic" else None
+    c1 = complex(np.cos(0.39), np.sin(0.39))
+    kernel = spin_trace(
+        Superposition(
+            c1,
+            assemble_state(4, "low", "boson", orbitals),
+            c1.conjugate(),
+            assemble_state(4, "high", "boson", orbitals),
+        )
+    )
+    has_imaginary = any(complex(coef).imag != 0 for _, coef in kernel.terms)
+    assert has_imaginary == (assignment == "generic")
+    rng = np.random.default_rng(1)
+    for _ in range(6):
+        points = [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(4)]
+        value = evaluate_density(kernel, evaluator, points)
+        assert _bits(value) == _bits(_complex_reference(kernel, evaluator, points))
+
+
+def test_shared_point_objects_evaluate_each_label_once() -> None:
+    state = assemble_state(3, "low", "fermion")
+    kernel = marginalize(spin_trace_pair(state, state), (1, 2))
+    calls = []
+
+    def evaluator(label, x, y):
+        calls.append(label)
+        return np.exp(-(x * x + y * y)) if label == "g" else x
+
+    grid = _odd_grid()
+    shared = evaluate_density(kernel, evaluator, [grid, grid])
+    assert sorted(calls) == ["e", "g"]
+    calls.clear()
+    separate = evaluate_density(kernel, evaluator, [grid, list(grid)])
+    assert sorted(calls) == ["e", "e", "g", "g"]
+    assert _bits(shared) == _bits(separate)
