@@ -1,4 +1,4 @@
-"""End-to-end byte identity of the `density` verb and of the grid maps.
+"""End-to-end byte identity of the `density` and `hom` verbs and of the grid maps.
 
 Small runs are pinned by the sha256 and byte count of every file they write
 and by their full rendered stdout.  The 16x16 values were recorded from the
@@ -7,18 +7,22 @@ code before the exact-layer caches and the streaming CSV writer went in; the
 and real kernels were evaluated in float64 and orbital grids were cached.  At
 an odd resolution a symmetry axis lies on grid points, where an orbital is
 exactly zero, so a change in the sign of a zero shows here too.  Any change
-to a written float, a file name or a printed check line fails here.
+to a written float, a file name or a printed check line fails here.  The
+`hom` reports were recorded before the four sparse state types were folded
+into one; the angles include 0 and pi/2, where the splitter output carries
+signed-zero amplitudes that the report prints as `+0.000000i`/`-0.000000i`.
 Refactors that keep the output contract must keep these green.
 """
 import dataclasses
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fewbody import density_maps, orbitals
-from fewbody.cli import main
+from fewbody.cli import ExperimentConfig, main, run_hom
 
 GRID_16 = ["--set", "nx=16", "--set", "ny=16", "--output-dir", "out"]
 
@@ -302,3 +306,38 @@ def test_library_maps_are_bit_identical(geometry: str) -> None:
     for label in flux_labels:
         hashes[f"flux_{label}"] = _sha(density_maps.probability_flux(flux_mos[label], spec).values)
     assert hashes == MAP_HASHES[geometry]
+
+
+HOM_THETAS = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2, 0.1, 0.7, 1.3)
+
+# sha256 of the rendered reports at every HOM_THETAS angle, each followed by "\n"
+HOM_HASHES = {
+    ("boson", "optical", "HH"): "3bfbf099ef5af1125878d3bc3a88a325df320df0e596fc056e6de4d54e925bcc",
+    ("boson", "optical", "VV"): "2495b6e338da4506a0f896b3ee653502e5db1e113d7fcdc5d8d7ed08342593b0",
+    ("boson", "optical", "HV-sym"): "0fb63d4826561f85c54624550a93b58d5dbc60a2cecd354bee425b479649389a",
+    ("boson", "optical", "HV-antisym"): "b957a4f321dbe071c807af1dcd07fb21724b6998648ef5cbd67061039b64fc39",
+    ("boson", "atomic", "aa"): "f39aea831b4bf13e0bfb877b14936a20164483b4215ce70296b214fa65c752d2",
+    ("boson", "atomic", "bb"): "f51962688d70f7e388aeac8da5990a2682dc75d0f7c754ae2f77408545578795",
+    ("boson", "atomic", "ab-sym"): "6a1ae4be5ddb436e251debd285ef893271998aad7394ff73a8477bc5bedfa197",
+    ("boson", "atomic", "ab-antisym"): "aef83b29c27034df2c24c638f10f499ab5743b15aafacf88f364687de39b44a2",
+    ("fermion", "optical", "HH"): "fb92ac3f590541d1f78670171e0c59a68b9a559589ad553bb354aaeddfff14ec",
+    ("fermion", "optical", "VV"): "9da4e06f44d6fe7975503f5df4992d6c6fadd735622b66d70bef5ee5354a9e3e",
+    ("fermion", "optical", "HV-sym"): "bdb7e07a8eb371757e4efb58384108faa3f7fbebda469ce0fad7d182a001aba7",
+    ("fermion", "optical", "HV-antisym"): "622b9e483bb09f76cb0d8691a60545918f22172073dfd7f22c69e146c4fe75ee",
+    ("fermion", "atomic", "aa"): "ba977145a712163997a72a8ba26dccb9343dbe00f8f0f14ebaeb61dafdde777a",
+    ("fermion", "atomic", "bb"): "cf79d8ed41b7607dbc5997569818ad52cdad8346b9744ed95aed6ae535667b5c",
+    ("fermion", "atomic", "ab-sym"): "5956c9fc3619913dbefdb9f75a29459958dd88043e94e56f21f0b5add1e7e23f",
+    ("fermion", "atomic", "ab-antisym"): "d1a18fb2cddbaa8b2d9c7de85b78fbd60d4761b005c81410e55ddf4da320a0e3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOM_HASHES), ids="-".join)
+def test_hom_reports_are_byte_identical(case: tuple[str, str, str]) -> None:
+    statistics, convention, name = case
+    digest = hashlib.sha256()
+    for theta in HOM_THETAS:
+        config = ExperimentConfig(
+            statistics=statistics, convention=convention, input=name, theta=theta
+        )
+        digest.update(run_hom(config).render().encode() + b"\n")
+    assert digest.hexdigest() == HOM_HASHES[case]
