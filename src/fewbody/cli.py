@@ -126,8 +126,6 @@ def _coerce(key: str, val: str):
     if key == "conditioning_points":
         return _parse_points(val)
     default = getattr(ExperimentConfig(), key)
-    if isinstance(default, bool):
-        return val.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(val)
     if isinstance(default, float):
@@ -457,18 +455,11 @@ def run_density(config: ExperimentConfig) -> RunReport:
     """Render the configured geometry's density maps and flux fields."""
     mos, spec = _density_inputs(config)
     n = config.particles
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     assertions = []
     summaries = []
     manifest = []
 
     single = density_maps.single_density(n, mos, spec)
-    csv_path = out_dir / f"{config.name}_single.csv"
-    _write_csv(single, csv_path)
-    _write_pgm(single, csv_path.with_suffix(".pgm"))
-    manifest += [str(csv_path), str(csv_path.with_suffix(".pgm"))]
     integral = single.integral()
     assertions.append(
         AssertionResult(
@@ -520,8 +511,17 @@ def run_density(config: ExperimentConfig) -> RunReport:
     points = config.conditioning_points or tuple(
         site.center for _, site in mos["g"].geometry.sites
     )
+    # every map before the first write: a conditioning point with a vanishing
+    # marginal then stops the run with nothing written
+    conditionals = [density_maps.conditional_density(kernel, r0, spec) for r0 in points]
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{config.name}_single.csv"
+    _write_csv(single, csv_path)
+    _write_pgm(single, csv_path.with_suffix(".pgm"))
+    manifest += [str(csv_path), str(csv_path.with_suffix(".pgm"))]
     for idx, r0 in enumerate(points, 1):
-        cond = density_maps.conditional_density(kernel, r0, spec)
+        cond = conditionals.pop(0)  # each map is freed once written
         cpath = out_dir / f"{config.name}_conditional_{idx}.csv"
         _write_csv(cond, cpath)
         _write_ppm(cond, cpath.with_suffix(".ppm"), marker=r0)
@@ -855,16 +855,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             config = replace(config, particles=4)
         _check_inputs(args.verb, config)
     except (OSError, ValueError) as exc:
-        print(f"fewbody: error: {exc}", file=sys.stderr)
-        return 2
-    if args.verb == "hom":
-        report = run_hom(config)
-    elif args.verb == "density":
-        report = run_density(config)
-    else:
-        report = run_verify(config)
+        return _input_error(exc)
+    run = {"hom": run_hom, "density": run_density, "verify": run_verify}[args.verb]
+    try:
+        report = run(config)
+    except density_maps.VanishingMarginalError as exc:
+        # found while the maps are computed, before anything is written
+        return _input_error(exc)
     print(report.render())
     return 0 if report.passed else 1
+
+
+def _input_error(exc: Exception) -> int:
+    print(f"fewbody: error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -181,6 +181,10 @@ def _every_cell(kernel: Callable, spec: GridSpec):
     return spec if isinstance(kernel, PairDensityKernel) else spec.meshgrid()
 
 
+class VanishingMarginalError(ValueError):
+    """A conditioning point where the pair density has (almost) no weight."""
+
+
 def conditional_density(
     kernel: Callable,
     r0: Point,
@@ -195,7 +199,9 @@ def conditional_density(
     slice_values = np.asarray(kernel(_every_cell(kernel, spec), r0), dtype=float)
     marginal = float(slice_values.sum()) * spec.cell_area
     if marginal <= 1e-15:
-        raise ValueError("conditioning point has vanishing marginal density")
+        raise VanishingMarginalError(
+            f"conditioning point ({r0[0]:g}, {r0[1]:g}) has vanishing marginal density"
+        )
     values = slice_values / marginal
     return DensityGrid(
         spec,

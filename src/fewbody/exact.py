@@ -5,6 +5,10 @@ positive integer radicands n_k.  The set is closed under addition and
 multiplication, which covers every coefficient produced by Clebsch-Gordan,
 6j/9j and symmetrizer algebra in this package.  Division is supported for
 single-term values only, which is all that state normalization needs.
+
+Adding or multiplying a float or complex gives the complex value
+complex(self) op complex(other): kernels weighted by complex amplitudes
+mix both kinds of coefficient.
 """
 from __future__ import annotations
 
@@ -73,7 +77,9 @@ class SqrtRational:
             raise ValueError(f"{self} is irrational")
         return self._terms.get(1, Fraction(0))
 
-    def __add__(self, other: "SqrtRational | Rational") -> "SqrtRational":
+    def __add__(self, other: "SqrtRational | Rational | complex"):
+        if isinstance(other, (float, complex)):
+            return complex(self) + complex(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -96,7 +102,9 @@ class SqrtRational:
     def __rsub__(self, other: Rational) -> "SqrtRational":
         return _coerce(other) + (-self)
 
-    def __mul__(self, other: "SqrtRational | Rational") -> "SqrtRational":
+    def __mul__(self, other: "SqrtRational | Rational | complex"):
+        if isinstance(other, (float, complex)):
+            return complex(self) * complex(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from .sparse import SparseVector
 
 BOSON = "boson"
 FERMION = "fermion"
@@ -78,58 +81,32 @@ def vacuum(statistics: str) -> OccupationState:
     return OccupationState(_check_statistics(statistics), ())
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(SparseVector):
     """Sparse complex superposition over occupation configurations."""
 
-    statistics: str
-    terms: tuple[tuple[OccupationState, complex], ...]
+    statistics = property(attrgetter("space"))
+    _coerce = complex
+    _keep = staticmethod(lambda amp: abs(amp) > _PRUNE)
+    _sort_key = staticmethod(lambda item: item[0].occupancy)
+    # bound here, not only inherited: perfbench/tracer.py wraps them
+    # through StateVector.__dict__
+    __add__ = SparseVector.__add__
+    __sub__ = SparseVector.__sub__
 
     @staticmethod
-    def from_dict(
-        statistics: str, amplitudes: Mapping[OccupationState, complex]
-    ) -> "StateVector":
+    def _checked(statistics: str, occupations) -> str:
         _check_statistics(statistics)
-        kept = []
-        for occ, amp in amplitudes.items():
+        for occ in occupations:  # a plain loop: any() costs more on few terms
             if occ.statistics != statistics:
                 raise ValueError("term statistics disagrees with the state")
-            if abs(amp) > _PRUNE:
-                kept.append((occ, complex(amp)))
-        kept.sort(key=lambda item: item[0].occupancy)
-        return StateVector(statistics, tuple(kept))
+        return statistics
 
     @staticmethod
     def zero(statistics: str) -> "StateVector":
         return StateVector(_check_statistics(statistics), ())
 
-    def as_dict(self) -> dict[OccupationState, complex]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def amplitude(self, occ: OccupationState) -> complex:
-        for stored, amp in self.terms:
-            if stored == occ:
-                return amp
-        return 0j
-
-    def scaled(self, factor: complex) -> "StateVector":
-        return StateVector.from_dict(
-            self.statistics, {occ: amp * factor for occ, amp in self.terms}
-        )
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        if other.statistics != self.statistics:
-            raise ValueError("statistics mismatch")
-        out = dict(self.terms)
-        for occ, amp in other.terms:
-            out[occ] = out.get(occ, 0j) + amp
-        return StateVector.from_dict(self.statistics, out)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + other.scaled(-1.0)
+        return self.as_dict().get(occ, 0j)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(amp) ** 2 for _, amp in self.terms))
@@ -155,20 +132,21 @@ def basis_state(statistics: str, modes: Sequence[Mode], amplitude: complex = 1.0
 
 def create(state: StateVector, mode: Mode) -> StateVector:
     """Apply a creation operator; fermionic double occupation vanishes."""
+    statistics = state.statistics
     out: dict[OccupationState, complex] = {}
     for occ, amp in state.terms:
         counts = occ.counts()
         n = counts.get(mode, 0)
-        if state.statistics == FERMION:
+        if statistics == FERMION:
             if n == 1:
                 continue
             factor = -1.0 if occ.occupancy_before(mode) % 2 else 1.0
         else:
             factor = math.sqrt(n + 1)
         counts[mode] = n + 1
-        new_occ = OccupationState.from_counts(state.statistics, counts)
+        new_occ = OccupationState.from_counts(statistics, counts)
         out[new_occ] = out.get(new_occ, 0j) + amp * factor
-    return StateVector.from_dict(state.statistics, out)
+    return StateVector.from_dict(statistics, out)
 
 
 def annihilate(state: StateVector, mode: Mode) -> StateVector:
@@ -259,18 +237,19 @@ def apply_mode_transform(state: StateVector, transform: ModeTransform) -> StateV
     product is re-expanded onto the vacuum right-to-left.  The vacuum
     itself is left unchanged (its phase is fixed to zero).
     """
-    total = StateVector.zero(state.statistics)
+    statistics = state.statistics
+    total = StateVector.zero(statistics)
     for occ, amp in state.terms:
         norm = 1.0
         for _, n in occ.occupancy:
             norm *= math.factorial(n)
         current = StateVector.from_dict(
-            state.statistics, {vacuum(state.statistics): amp / math.sqrt(norm)}
+            statistics, {vacuum(statistics): amp / math.sqrt(norm)}
         )
         for mode, n in reversed(occ.occupancy):
             images = transform.image(mode)
             for _ in range(n):
-                pieces = StateVector.zero(state.statistics)
+                pieces = StateVector.zero(statistics)
                 for out_mode, coeff in images:
                     if abs(coeff) <= _PRUNE:
                         continue
@@ -295,10 +274,4 @@ def accumulated_phase(detuning_trajectory: Sequence[tuple[float, float]]) -> flo
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """⟨a|b⟩ with the occupation basis orthonormal."""
-    if a.statistics != b.statistics:
-        raise ValueError("statistics mismatch")
-    amplitudes = dict(b.terms)
-    return sum(
-        (amp.conjugate() * amplitudes[occ] for occ, amp in a.terms if occ in amplitudes),
-        start=0j,
-    )
+    return a.inner(b, 0j)

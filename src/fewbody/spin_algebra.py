@@ -19,13 +19,14 @@ normalized arguments; every cached value is immutable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Iterable, Union
+from operator import attrgetter
+from typing import Union
 
 from .exact import ONE, ZERO, SqrtRational, rational, sqrt_rational
+from .sparse import SparseVector
 
 SpinValue = Union[int, float, Fraction]
 
@@ -196,44 +197,20 @@ def wigner9j(
     return total
 
 
-@dataclass(frozen=True)
-class SpinState:
+class SpinState(SparseVector):
     """Exact spin state over the product basis of n spin-1/2 particles.
 
     terms maps projection tuples (one Fraction +-1/2 per particle) to
     exact coefficients; zero coefficients are dropped.
     """
 
-    n: int
-    terms: tuple[tuple[tuple[Fraction, ...], SqrtRational], ...]
+    n = property(attrgetter("space"))
 
     @staticmethod
-    def from_dict(n: int, d: dict[tuple[Fraction, ...], SqrtRational]) -> "SpinState":
-        items = tuple(sorted((k, v) for k, v in d.items() if not v.is_zero()))
-        for key, _ in items:
-            if len(key) != n:
-                raise ValueError("projection tuple length mismatch")
-        return SpinState(n, items)
-
-    def as_dict(self) -> dict[tuple[Fraction, ...], SqrtRational]:
-        return dict(self.terms)
-
-    def scaled(self, factor: SqrtRational) -> "SpinState":
-        return SpinState.from_dict(self.n, {k: v * factor for k, v in self.terms})
-
-    def __add__(self, other: "SpinState") -> "SpinState":
-        if self.n != other.n:
-            raise ValueError("particle-count mismatch")
-        out = self.as_dict()
-        for k, v in other.terms:
-            out[k] = out.get(k, ZERO) + v
-        return SpinState.from_dict(self.n, out)
-
-    def __sub__(self, other: "SpinState") -> "SpinState":
-        return self + other.scaled(rational(-1))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _checked(n: int, keys) -> int:
+        if any(len(key) != n for key in keys):
+            raise ValueError("projection tuple length mismatch")
+        return n
 
     def total_m(self) -> Fraction:
         projections = {sum(k) for k, _ in self.terms}
@@ -244,15 +221,7 @@ class SpinState:
 
 def spin_overlap(a: SpinState, b: SpinState) -> SqrtRational:
     """Product-basis orthonormal dot product <a|b>, exact."""
-    if a.n != b.n:
-        raise ValueError("particle-count mismatch")
-    bd = b.as_dict()
-    total = ZERO
-    for key, ca in a.terms:
-        cb = bd.get(key)
-        if cb is not None:
-            total = total + ca.conjugate() * cb
-    return total
+    return a.inner(b, ZERO)
 
 
 def _pair_expansion(

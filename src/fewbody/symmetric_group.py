@@ -5,11 +5,11 @@ a coordinate assignment by relabeling: coordinate c of the input becomes
 coordinate sigma(c) of the output.
 
 A Young symmetrizer is a signed formal sum of permutations built from the
-row and column groups of a standard tableau.  Two operator orders are
-supported, and a `conjugate` flag swaps the symmetrizing role of rows and
+row and column groups of a standard tableau, column operators acting
+first.  A `conjugate` flag swaps the symmetrizing role of rows and
 columns (columns symmetrized, rows antisymmetrized) while keeping the
-same tableau.  The defaults are pinned term-for-term against the printed
-four-term and sixteen-term expansions in the test suite.
+same tableau.  The construction is pinned term-for-term against the
+printed four-term and sixteen-term expansions in the test suite.
 """
 from __future__ import annotations
 
@@ -164,16 +164,13 @@ class Symmetrizer:
 def build_symmetrizer(
     diagram: YoungDiagram,
     tableau: Sequence[Sequence[int]],
-    order: str = "columns_then_rows",
     conjugate: bool = False,
 ) -> Symmetrizer:
     """Young symmetrizer of a standard tableau.
 
-    order selects which operator family acts first on the wavefunction:
-    "columns_then_rows" applies the column operators first, then the row
-    operators; "rows_then_columns" is the transposed order.  With
-    conjugate=False rows are symmetrized and columns antisymmetrized;
-    conjugate=True swaps those roles on the same tableau.
+    The column operators act first on the wavefunction, then the row
+    operators.  With conjugate=False rows are symmetrized and columns
+    antisymmetrized; conjugate=True swaps those roles on the same tableau.
     """
     rows = tuple(tuple(r) for r in tableau)
     if not _is_standard(diagram, rows):
@@ -185,24 +182,10 @@ def build_symmetrizer(
     ]
     row_group = _group_over_blocks(n, list(rows))
     col_group = _group_over_blocks(n, cols)
-    if conjugate:
-        symmetrized, antisymmetrized = col_group, row_group
-    else:
-        symmetrized, antisymmetrized = row_group, col_group
-    sym_terms = [(p, 1) for p in symmetrized]
-    anti_terms = [(p, p.sign()) for p in antisymmetrized]
-    if conjugate:
-        col_terms, row_terms = sym_terms, anti_terms
-    else:
-        col_terms, row_terms = anti_terms, sym_terms
-    if order == "columns_then_rows":
-        first, second = col_terms, row_terms
-    elif order == "rows_then_columns":
-        first, second = row_terms, col_terms
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    col_terms = [(p, 1 if conjugate else p.sign()) for p in col_group]
+    row_terms = [(p, p.sign() if conjugate else 1) for p in row_group]
     terms = tuple(
-        (p2.compose(p1), s1 * s2) for (p1, s1) in first for (p2, s2) in second
+        (p2.compose(p1), s1 * s2) for (p1, s1) in col_terms for (p2, s2) in row_terms
     )
     return Symmetrizer(terms)
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .exact import ONE, ZERO, SqrtRational, rational, sqrt_rational
+from .sparse import SparseVector
 from .spin_algebra import (
     UP,
     SpinState,
@@ -60,39 +62,21 @@ def _scalar(x: Scalar) -> SqrtRational:
     return rational(x)
 
 
-@dataclass(frozen=True)
-class PositionWavefunction:
+class PositionWavefunction(SparseVector):
     """Collected signed sum of orbital-assignment monomials, exact coefficients."""
 
-    n: int
-    terms: tuple[tuple[tuple[str, ...], SqrtRational], ...]
+    n = property(attrgetter("space"))
+    _coerce = staticmethod(_scalar)
 
     @staticmethod
-    def from_dict(n: int, d: Mapping[tuple[str, ...], Scalar]) -> "PositionWavefunction":
-        cleaned = {}
-        for key, val in d.items():
-            if len(key) != n:
-                raise ValueError("assignment length mismatch")
-            v = _scalar(val)
-            if not v.is_zero():
-                cleaned[tuple(key)] = v
-        return PositionWavefunction(n, tuple(sorted(cleaned.items())))
+    def _checked(n: int, keys) -> int:
+        if any(len(key) != n for key in keys):
+            raise ValueError("assignment length mismatch")
+        return n
 
     @staticmethod
     def monomial(assignment: Sequence[str]) -> "PositionWavefunction":
         return PositionWavefunction.from_dict(len(assignment), {tuple(assignment): 1})
-
-    def as_dict(self) -> dict[tuple[str, ...], SqrtRational]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scaled(self, factor: Scalar) -> "PositionWavefunction":
-        f = _scalar(factor)
-        return PositionWavefunction.from_dict(
-            self.n, {k: v * f for k, v in self.terms}
-        )
 
     def permuted(self, p: Permutation) -> "PositionWavefunction":
         """Relabel coordinates: coordinate c becomes coordinate p(c)."""
@@ -100,31 +84,12 @@ class PositionWavefunction:
             self.n, {p.apply_to_assignment(k): v for k, v in self.terms}
         )
 
-    def __add__(self, other: "PositionWavefunction") -> "PositionWavefunction":
-        if self.n != other.n:
-            raise ValueError("particle-count mismatch")
-        out = self.as_dict()
-        for k, v in other.terms:
-            out[k] = out.get(k, ZERO) + v
-        return PositionWavefunction.from_dict(self.n, out)
-
-    def __sub__(self, other: "PositionWavefunction") -> "PositionWavefunction":
-        return self + other.scaled(-1)
-
 
 def position_inner_product(
     a: PositionWavefunction, b: PositionWavefunction
 ) -> SqrtRational:
     """<a|b> under orbital orthonormality: assignments contract by Kronecker delta."""
-    if a.n != b.n:
-        raise ValueError("particle-count mismatch")
-    bd = b.as_dict()
-    total = ZERO
-    for key, ca in a.terms:
-        cb = bd.get(key)
-        if cb is not None:
-            total = total + ca.conjugate() * cb
-    return total
+    return a.inner(b, ZERO)
 
 
 _STANDARD_TABLEAU = {3: ((1, 2), (3,)), 4: ((1, 2), (3, 4))}
@@ -158,9 +123,7 @@ def build_position_family(
     if len(orbitals) != n:
         raise ValueError(f"need {n} orbital labels, got {len(orbitals)}")
     diagram = YoungDiagram((2, 1) if n == 3 else (2, 2))
-    sym = build_symmetrizer(
-        diagram, _STANDARD_TABLEAU[n], order="columns_then_rows", conjugate=bool(kind)
-    )
+    sym = build_symmetrizer(diagram, _STANDARD_TABLEAU[n], conjugate=bool(kind))
     # slot I..IV sits in the tableau cell holding the same-index coordinate,
     # so the standard member's base monomial assigns orbital k to coordinate k
     base = PositionWavefunction.monomial(orbitals)
@@ -289,8 +252,7 @@ def _assemble_state(
     return state.scaled(rational(approx))
 
 
-@dataclass(frozen=True)
-class ReducedDensity:
+class ReducedDensity(SparseVector):
     """Operator kernel over orbital assignments of the kept coordinates.
 
     terms maps (ket assignment, bra assignment) pairs to coefficients;
@@ -298,23 +260,11 @@ class ReducedDensity:
     C-weighted superpositions.
     """
 
-    kept: tuple[int, ...]
-    terms: tuple[tuple[tuple[tuple[str, ...], tuple[str, ...]], object], ...]
+    kept = property(attrgetter("space"))
 
     @staticmethod
-    def from_dict(kept: Sequence[int], d: Mapping) -> "ReducedDensity":
-        cleaned = {}
-        for key, val in d.items():
-            if _coeff_is_zero(val):
-                continue
-            cleaned[key] = val
-        return ReducedDensity(tuple(kept), tuple(sorted(cleaned.items())))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _checked(kept: Sequence[int], keys) -> tuple[int, ...]:
+        return tuple(kept)
 
     def is_hermitian(self, tol: float = 0.0) -> bool:
         d = self.as_dict()
@@ -326,37 +276,6 @@ class ReducedDensity:
             if abs(diff) > tol:
                 return False
         return True
-
-    def scaled(self, factor) -> "ReducedDensity":
-        return ReducedDensity.from_dict(
-            self.kept, {k: _coeff_mul(v, factor) for k, v in self.terms}
-        )
-
-    def __add__(self, other: "ReducedDensity") -> "ReducedDensity":
-        if self.kept != other.kept:
-            raise ValueError("coordinate mismatch")
-        out = self.as_dict()
-        for k, v in other.terms:
-            out[k] = _coeff_add(out[k], v) if k in out else v
-        return ReducedDensity.from_dict(self.kept, out)
-
-
-def _coeff_is_zero(v) -> bool:
-    if isinstance(v, SqrtRational):
-        return v.is_zero()
-    return v == 0
-
-
-def _coeff_mul(a, b):
-    if isinstance(a, SqrtRational) and isinstance(b, (int, Fraction, SqrtRational)):
-        return a * b
-    return complex(a) * complex(b)
-
-
-def _coeff_add(a, b):
-    if isinstance(a, SqrtRational) and isinstance(b, SqrtRational):
-        return a + b
-    return complex(a) + complex(b)
 
 
 def spin_trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensity:
@@ -420,7 +339,7 @@ def marginalize(density: ReducedDensity, keep: Iterable[int]) -> ReducedDensity:
             tuple(ket[i] for i in positions),
             tuple(bra[i] for i in positions),
         )
-        out[key] = _coeff_add(out[key], coef) if key in out else coef
+        out[key] = out[key] + coef if key in out else coef
     return ReducedDensity.from_dict(keep, out)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fewbody import cli
 from fewbody.cli import (
     AssertionResult,
     ExperimentConfig,
@@ -358,6 +359,21 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys) -> None:
     out = tmp_path / "out"
     _assert_invalid_input(main([*argv, "--output-dir", str(out)]), capsys, out)
+
+
+def test_far_conditioning_point_exits_2_before_writing(tmp_path: Path, capsys) -> None:
+    out = tmp_path / "out"
+    argv = ["density", "--set", "nx=16", "--set", "ny=16", "--set", "conditioning_points=60,60"]
+    _assert_invalid_input(main([*argv, "--output-dir", str(out)]), capsys, out)
+
+
+def test_other_run_errors_are_not_reported_as_input_errors(monkeypatch) -> None:
+    def broken(config):
+        raise ValueError("a fault in the run")
+
+    monkeypatch.setattr(cli, "run_verify", broken)
+    with pytest.raises(ValueError, match="a fault in the run"):
+        main(["verify"])
 
 
 def test_environment_variable_overrides_output_dir(

@@ -1,5 +1,6 @@
 """Exact radical arithmetic: closure, identities, float agreement."""
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,38 @@ def test_scalar_coercion_both_sides() -> None:
     assert 1 + sqrt_rational(2) == sqrt_rational(2) + 1
     assert 2 - sqrt_rational(2) == -(sqrt_rational(2) - 2)
     assert Fraction(1, 2) * sqrt_rational(3) == sqrt_rational(3) / 2
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@pytest.mark.parametrize(
+    "exact", [ZERO, ONE, -sqrt_rational(3) / 2, sqrt_rational(2) / 3 - 1], ids=repr
+)
+@pytest.mark.parametrize(
+    "inexact",
+    [0.1, -0.0, 1e308, complex(-0.0, -0.0), complex(1.5, -0.0), complex(-0.0, 2.5), -0.25j],
+    ids=repr,
+)
+def test_float_and_complex_operands_give_the_complex_formula(exact, inexact) -> None:
+    """Mixed with a float or complex, + and * are complex(a) op complex(b) bit for
+    bit, in both operand orders; a -0.0 component keeps its sign where that
+    formula keeps it."""
+    a, b = complex(exact), complex(inexact)
+    for got, want in (
+        (exact + inexact, a + b),
+        (inexact + exact, b + a),
+        (exact * inexact, a * b),
+        (inexact * exact, b * a),
+    ):
+        assert type(got) is complex
+        assert _bits(got) == _bits(want)
+
+
+def test_mixed_operands_leave_exact_arithmetic_exact() -> None:
+    assert ONE + 1 == rational(2) and isinstance(ONE + Fraction(1, 2), SqrtRational)
+    assert isinstance(sqrt_rational(2) * 3, SqrtRational)
 
 
 small_rationals = st.fractions(

@@ -307,6 +307,33 @@ def test_statistics_never_mix() -> None:
         )
 
 
+def test_state_vectors_prune_below_1e_13_and_sort_by_occupancy() -> None:
+    occ = {
+        name: OccupationState.from_counts(BOSON, {mode(site, "H"): 1})
+        for name, site in (("one", 1), ("two", 2))
+    }
+    pair = OccupationState.from_counts(BOSON, {mode(1, "H"): 1, mode(2, "H"): 1})
+    state = StateVector.from_dict(
+        BOSON, {occ["two"]: 2e-13, pair: 1e-13, occ["one"]: 1}
+    )
+    assert state.terms == ((occ["one"], 1 + 0j), (occ["two"], 2e-13 + 0j))
+    assert all(type(amp) is complex for _, amp in state.terms)
+    assert StateVector.from_dict(BOSON, {pair: -1e-13j}).is_zero()
+    total = state + basis_state(BOSON, [mode(1, "H"), mode(2, "H")])
+    assert [o for o, _ in total.terms] == [occ["one"], pair, occ["two"]]
+    with pytest.raises(ValueError):
+        StateVector.from_dict(FERMION, {occ["one"]: 1})
+
+
+def test_adding_to_a_new_key_gives_negative_zero_components_a_plus_sign() -> None:
+    """0 + amp, as the splitter's outputs have always been summed: a new
+    amplitude -1-0j is stored as -1+0j, so reports print +0.000000i."""
+    occ = OccupationState.from_counts(BOSON, {mode(1, "H"): 2})
+    negative = StateVector(BOSON, ((occ, complex(-1.0, -0.0)),))
+    ((_, amp),) = (StateVector.zero(BOSON) + negative).terms
+    assert math.copysign(1.0, amp.imag) == 1.0
+
+
 def test_mode_validation() -> None:
     with pytest.raises(ValueError):
         Mode(3, "H")

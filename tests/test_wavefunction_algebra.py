@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from fewbody.exact import ONE, ZERO, rational, sqrt_rational
-from fewbody.spin_algebra import DOWN, UP
+from fewbody.spin_algebra import DOWN, UP, SpinState
 from fewbody.symmetric_group import Permutation
 from fewbody.wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
     PositionWavefunction,
+    ReducedDensity,
     SpinPositionState,
     Superposition,
     VanishingRepresentationError,
@@ -412,3 +413,59 @@ def test_shared_point_objects_evaluate_each_label_once() -> None:
     separate = evaluate_density(kernel, evaluator, [grid, list(grid)])
     assert sorted(calls) == ["e", "e", "g", "g"]
     assert _bits(shared) == _bits(separate)
+
+
+# -- the shared sparse-vector algebra of the three exact types ------------
+
+SMALL = rational(Fraction(1, 10**400))  # nonzero, though float(SMALL) == 0.0
+
+# per type: its space, three keys in sorted order, and a space of another size
+EXACT_TYPES = {
+    "spin": (SpinState, 2, [(DOWN, DOWN), (DOWN, UP), (UP, DOWN)], 3),
+    "position": (PositionWavefunction, 2, [("e", "e"), ("e", "g"), ("g", "e")], 3),
+    "kernel": (
+        ReducedDensity,
+        (1,),
+        [(("e",), ("e",)), (("e",), ("g",)), (("g",), ("e",))],
+        (1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_TYPES))
+def test_exact_vectors_prune_exact_zeros_only_and_sort_keys(kind: str) -> None:
+    cls, space, keys, _ = EXACT_TYPES[kind]
+    v = cls.from_dict(space, {keys[2]: SMALL, keys[1]: ZERO, keys[0]: ONE})
+    assert v.terms == ((keys[0], ONE), (keys[2], SMALL))
+    assert (v - v).terms == ()
+    w = cls.from_dict(space, {keys[1]: sqrt_rational(2)})
+    assert [k for k, _ in (w + v).terms] == sorted(keys)
+    assert (v + w) == (w + v)
+    assert v.scaled(2).as_dict() == {keys[0]: rational(2), keys[2]: SMALL * 2}
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_TYPES))
+def test_exact_vectors_of_other_spaces_do_not_mix(kind: str) -> None:
+    cls, space, keys, other_space = EXACT_TYPES[kind]
+    v = cls.from_dict(space, {keys[0]: ONE})
+    other = cls.from_dict(other_space, {})
+    with pytest.raises(ValueError, match="space mismatch"):
+        v + other
+    with pytest.raises(ValueError, match="space mismatch"):
+        v.inner(other, ZERO)
+
+
+def test_exact_keys_must_fit_the_space() -> None:
+    with pytest.raises(ValueError):
+        SpinState.from_dict(3, {(UP, DOWN): ONE})
+    with pytest.raises(ValueError):
+        PositionWavefunction.from_dict(3, {("g", "e"): 1})
+
+
+def test_kernels_mixing_exact_and_complex_coefficients_add_as_complex() -> None:
+    exact = ReducedDensity.from_dict((1,), {(("g",), ("g",)): sqrt_rational(2)})
+    mixed = exact.scaled(0.5j) + exact
+    ((key, coef),) = mixed.terms
+    assert key == (("g",), ("g",))
+    assert coef == complex(sqrt_rational(2)) * 0.5j + complex(sqrt_rational(2))
+    assert (exact.scaled(1j) - exact.scaled(1j)).is_zero()
