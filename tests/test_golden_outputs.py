@@ -11,6 +11,8 @@ to a written float, a file name or a printed check line fails here.  The
 `hom` reports were recorded before the four sparse state types were folded
 into one; the angles include 0 and pi/2, where the splitter output carries
 signed-zero amplitudes that the report prints as `+0.000000i`/`-0.000000i`.
+The maps on the 64x48 asymmetric grid were recorded before orbitals were
+evaluated on the open mesh (x of shape (nx, 1), y of shape (1, ny)).
 Refactors that keep the output contract must keep these green.
 """
 import dataclasses
@@ -306,6 +308,61 @@ def test_library_maps_are_bit_identical(geometry: str) -> None:
     for label in flux_labels:
         hashes[f"flux_{label}"] = _sha(density_maps.probability_flux(flux_mos[label], spec).values)
     assert hashes == MAP_HASHES[geometry]
+
+
+# A non-square grid with asymmetric ranges: an x/y swap of the grid axes, or
+# a reflection, cannot hide here as it could on the square, symmetric grids
+# above.  Conditioning point off every site.
+ASYMMETRIC_SPEC = density_maps.GridSpec(
+    x_range=(-5.3, 4.1), y_range=(-3.7, 6.2), resolution=(64, 48)
+)
+ASYMMETRIC_R0 = (0.37, 0.81)
+
+# sha256 of the float64 bytes of every map on ASYMMETRIC_SPEC, by geometry
+ASYMMETRIC_HASHES = {
+    "triangle": {
+        "single": "fac10678b082ea437de96282044b6eefdc360aa731fb95cad50b7ecb60ae04fb",
+        "diagonal": "b6814311217d5432cb8588c9110eff913c7a0a266ddfc56617b6dd3306264adb",
+        "conditional": "18c8e2d212e65031cfa39ef43450a520fae0c58def10dca77be9f88495033443",
+        "flux_g": "2aae7dc846aaf25f1cadf55f1666862046c6db9d65d84bdc07fa039dac405606",
+        "flux_e": "836eaf234500a39925f1ed52697d6862b6a1f9dcfffa014fd320f1b21cc70f21",
+        "flux_e'": "2947ef005b4b0e252b3afee2d3326ebff4ea7bacce58d3943664cb3fbec0459b",
+    },
+    "square": {
+        "single": "d0e1ac35933e63d9be66f23bac6b7525f68ce30fb73552aa7d7040d1f37928e0",
+        "diagonal": "80267d2d33e1214dcbc82c075411270bf43515a4d53da4cebd4641f9d747e23e",
+        "conditional": "38865f77edf32cf13456d23b6409ef9b5be6f756351cad7428dc3d3b7e361d60",
+        "flux_g": "2aae7dc846aaf25f1cadf55f1666862046c6db9d65d84bdc07fa039dac405606",
+        "flux_e": "2947ef005b4b0e252b3afee2d3326ebff4ea7bacce58d3943664cb3fbec0459b",
+        "flux_e'": "fb529aadff4e242d2d7fba58a57e640b823d14969719656bbcc44488871f00c4",
+        "flux_e''": "3b8aa23ea356b553ba7f4531d05796bd2299b04fcfcad05516286f880d777cfb",
+        "flux_e+e'": "74ef90efbd1caf794feb05db210735f420e0f258981176b08f25842e0e6d4f47",
+        "flux_e-e'": "7564ac244784a9957edb0800f43047decd051d332abfc24cd325a37bcdb94fff",
+        "flux_e+ie'": "f4d9ad3547d6f6395b495becd1b6fd0daa271058e3e709df3ae550d8d36a9a6a",
+        "flux_e-ie'": "e561d61b5456ce7bd732ac13a86bd6649cf1cc90d280f9b18bb9b585b83c0b28",
+    },
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_maps_on_an_asymmetric_grid_are_bit_identical(geometry: str) -> None:
+    """Real orbitals carry exact zeros of either sign in their flux, which
+    the flux hashes pin."""
+    n, build = GEOMETRIES[geometry]
+    mos = build()
+    spec = ASYMMETRIC_SPEC
+    kernel = density_maps.pair_density(n, mos)
+    hashes = {
+        "single": _sha(density_maps.single_density(n, mos, spec).values),
+        "diagonal": _sha(kernel(spec, spec)),
+        "conditional": _sha(density_maps.conditional_density(kernel, ASYMMETRIC_R0, spec).values),
+    }
+    flux_mos = dict(mos)
+    if geometry == "square":
+        flux_mos.update(orbitals.degenerate_superpositions(mos["e"], mos["e'"]))
+    for label, mo in flux_mos.items():
+        hashes[f"flux_{label}"] = _sha(density_maps.probability_flux(mo, spec).values)
+    assert hashes == ASYMMETRIC_HASHES[geometry]
 
 
 HOM_THETAS = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2, 0.1, 0.7, 1.3)
