@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -515,59 +518,60 @@ def run_density(config: ExperimentConfig) -> RunReport:
     # marginal then stops the run with nothing written
     conditionals = [density_maps.conditional_density(kernel, r0, spec) for r0 in points]
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.name}_single.csv"
-    _write_csv(single, csv_path)
-    _write_pgm(single, csv_path.with_suffix(".pgm"))
-    manifest += [str(csv_path), str(csv_path.with_suffix(".pgm"))]
-    for idx, r0 in enumerate(points, 1):
-        cond = conditionals.pop(0)  # each map is freed once written
-        cpath = out_dir / f"{config.name}_conditional_{idx}.csv"
-        _write_csv(cond, cpath)
-        _write_ppm(cond, cpath.with_suffix(".ppm"), marker=r0)
-        manifest += [str(cpath), str(cpath.with_suffix(".ppm"))]
-        assertions.append(
-            AssertionResult(
-                f"conditional map {idx} integrates to 1",
-                abs(cond.integral() - 1.0) <= 1e-10,
-                f"conditioned at ({r0[0]:g}, {r0[1]:g})",
-            )
-        )
+    with _staged_files(out_dir) as stage:
 
-    if config.geometry == "rectangle" and math.isclose(config.a, config.b, abs_tol=1e-12):
-        combos = orbitals.degenerate_superpositions(mos["e"], mos["e'"])
-        flux_plus = density_maps.probability_flux(combos["e+ie'"], spec)
-        flux_minus = density_maps.probability_flux(combos["e-ie'"], spec)
-        for tag, fluxgrid in (("plus", flux_plus), ("minus", flux_minus)):
-            fpath = out_dir / f"{config.name}_flux_{tag}.csv"
-            _write_csv(fluxgrid, fpath)
-            _write_pgm(fluxgrid, fpath.with_suffix(".pgm"))
-            manifest += [str(fpath), str(fpath.with_suffix(".pgm"))]
-        opposite = float(np.max(np.abs(flux_plus.values + flux_minus.values)))
-        assertions.append(
-            AssertionResult(
-                "flux fields of conjugate combinations are opposite",
-                opposite <= 1e-12,
-                f"max |j+ + j-| = {opposite:.3e}",
-            )
-        )
+        def write(writer, grid, name, **options):
+            writer(grid, stage / name, **options)
+            manifest.append(str(out_dir / name))
 
-    if config.c2_magnitude != 0.0:
-        label = "boson and fermion densities agree at balance"
-        try:
-            residual = _balance_residual(config)
-        except _ZeroNormSuperposition as exc:
+        write(_write_csv, single, f"{config.name}_single.csv")
+        write(_write_pgm, single, f"{config.name}_single.pgm")
+        for idx, r0 in enumerate(points, 1):
+            cond = conditionals.pop(0)  # each map is freed once written
+            stem = f"{config.name}_conditional_{idx}"
+            write(_write_csv, cond, f"{stem}.csv")
+            write(_write_ppm, cond, f"{stem}.ppm", marker=r0)
             assertions.append(
                 AssertionResult(
-                    label,
-                    False,
-                    f"cannot run: C1·Ψ1 + C1*·Ψ2 has zero norm ({exc.statistics})",
+                    f"conditional map {idx} integrates to 1",
+                    abs(cond.integral() - 1.0) <= 1e-10,
+                    f"conditioned at ({r0[0]:g}, {r0[1]:g})",
                 )
             )
-        else:
+
+        if config.geometry == "rectangle" and math.isclose(config.a, config.b, abs_tol=1e-12):
+            combos = orbitals.degenerate_superpositions(mos["e"], mos["e'"])
+            flux_plus = density_maps.probability_flux(combos["e+ie'"], spec)
+            flux_minus = density_maps.probability_flux(combos["e-ie'"], spec)
+            for tag, fluxgrid in (("plus", flux_plus), ("minus", flux_minus)):
+                stem = f"{config.name}_flux_{tag}"
+                write(_write_csv, fluxgrid, f"{stem}.csv")
+                write(_write_pgm, fluxgrid, f"{stem}.pgm")
+            opposite = float(np.max(np.abs(flux_plus.values + flux_minus.values)))
             assertions.append(
-                AssertionResult(label, residual <= 1e-10, f"max deviation {residual:.3e}")
+                AssertionResult(
+                    "flux fields of conjugate combinations are opposite",
+                    opposite <= 1e-12,
+                    f"max |j+ + j-| = {opposite:.3e}",
+                )
             )
+
+        if config.c2_magnitude != 0.0:
+            label = "boson and fermion densities agree at balance"
+            try:
+                residual = _balance_residual(config)
+            except _ZeroNormSuperposition as exc:
+                assertions.append(
+                    AssertionResult(
+                        label,
+                        False,
+                        f"cannot run: C1·Ψ1 + C1*·Ψ2 has zero norm ({exc.statistics})",
+                    )
+                )
+            else:
+                assertions.append(
+                    AssertionResult(label, residual <= 1e-10, f"max deviation {residual:.3e}")
+                )
 
     return RunReport(
         name=f"density:{config.name}",
@@ -581,6 +585,25 @@ def run_density(config: ExperimentConfig) -> RunReport:
         summaries=tuple(summaries),
         files=tuple(manifest),
     )
+
+
+@contextmanager
+def _staged_files(out_dir: Path):
+    """A new directory beside out_dir for a run to write its files into.
+
+    When the block completes, out_dir is created and the files move into it
+    (os.replace, on one filesystem); when it raises, they are removed with
+    the directory, so a failed run leaves no partial set in out_dir.
+    """
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    try:
+        yield stage
+        out_dir.mkdir(exist_ok=True)
+        for path in stage.iterdir():
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _dimensions_text(config: ExperimentConfig) -> str:

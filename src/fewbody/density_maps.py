@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .orbitals import MolecularOrbital
+from .orbitals import MolecularOrbital, evaluate_orbitals
 from .wavefunction_algebra import (
     ReducedDensity,
     assemble_state,
@@ -69,6 +69,12 @@ class GridSpec:
         xs, ys = self.axes()
         return np.meshgrid(xs, ys, indexing="ij")
 
+    def open_mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The meshgrid's coordinates as broadcastable axes: x of shape
+        (nx, 1), y of shape (1, ny)."""
+        xs, ys = self.axes()
+        return np.meshgrid(xs, ys, indexing="ij", sparse=True)
+
 
 @dataclass(frozen=True)
 class DensityGrid:
@@ -112,9 +118,10 @@ def single_density(
     """
     wg, we = _occupancy_weights(n)
     spec = spec or GridSpec()
-    x, y = spec.meshgrid()
-    g = np.asarray(mos["g"].evaluate(x, y), dtype=float)
-    e = np.asarray(mos["e"].evaluate(x, y), dtype=float)
+    g, e = (
+        np.asarray(v, dtype=float)
+        for v in evaluate_orbitals((mos["g"], mos["e"]), *spec.open_mesh())
+    )
     values = wg * g * g + we * e * e
     return DensityGrid(spec, values, {"quantity": f"single_density_n{n}"})
 
@@ -150,9 +157,9 @@ class PairDensityKernel:
     def _on_grid(self, spec: GridSpec) -> dict[str, np.ndarray]:
         orbital_values = self._grid_orbitals.get(spec)
         if orbital_values is None:
-            x, y = spec.meshgrid()
-            labels = {label for (ket, bra), _ in self.density.terms for label in ket + bra}
-            orbital_values = {label: self.mos[label].evaluate(x, y) for label in sorted(labels)}
+            labels = sorted({label for (ket, bra), _ in self.density.terms for label in ket + bra})
+            mos = [self.mos[label] for label in labels]
+            orbital_values = dict(zip(labels, evaluate_orbitals(mos, *spec.open_mesh())))
             for values in orbital_values.values():
                 values.flags.writeable = False
             self._grid_orbitals[spec] = orbital_values
@@ -233,11 +240,13 @@ def antibunching_check(
 ) -> AntibunchingReport:
     """Compare pair(r, r) against the independent-events benchmark rho(r)^2.
 
-    rho is marginal(x, y), or the values of a one-particle density already
-    sampled on spec.  Only grid points with rho(r) above `density_floor`
-    participate; the report carries the maximum ratio pair(r,r)/rho(r)^2
-    and where it occurs.  Strict inequality everywhere marks the state
-    antibunched.
+    rho is the values of a one-particle density already sampled on spec, or
+    marginal(x, y), which must be pointwise: it is called once on the
+    grid's open mesh (x of shape (nx, 1), y of shape (1, ny)) and its result
+    is broadcast to the grid.  Only grid points with rho(r) above
+    `density_floor` participate; the report carries the maximum ratio
+    pair(r,r)/rho(r)^2 and where it occurs.  Strict inequality everywhere
+    marks the state antibunched.
     """
     spec = spec or GridSpec()
     if isinstance(marginal, DensityGrid):
@@ -245,7 +254,8 @@ def antibunching_check(
             raise ValueError("marginal density is sampled on another grid")
         rho = marginal.values
     else:
-        rho = np.asarray(marginal(*spec.meshgrid()), dtype=float)
+        rho = np.asarray(marginal(*spec.open_mesh()), dtype=float)
+        rho = np.broadcast_to(rho, spec.resolution)
     grid = _every_cell(kernel, spec)
     coincidence = np.asarray(kernel(grid, grid), dtype=float)
     mask = rho > density_floor
@@ -265,12 +275,12 @@ def antibunching_check(
 def probability_flux(mo: MolecularOrbital, spec: GridSpec | None = None) -> DensityGrid:
     """Probability current j = Im[phi* grad phi] of a molecular orbital."""
     spec = spec or GridSpec()
-    x, y = spec.meshgrid()
+    phi, gx, gy = mo.value_and_gradient(*spec.open_mesh())
     # phi and each gradient component are arrays of this call's own, so
     # conj(phi) * g is formed in place
-    phi = np.asarray(mo.evaluate(x, y), dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
     np.conjugate(phi, out=phi)
-    gx, gy = (np.asarray(g, dtype=complex) for g in mo.gradient(x, y))
+    gx, gy = (np.asarray(g, dtype=complex) for g in (gx, gy))
     np.multiply(phi, gx, out=gx)
     np.multiply(phi, gy, out=gy)
     values = np.stack([gx.imag, gy.imag], axis=-1)

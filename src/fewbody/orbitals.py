@@ -36,29 +36,37 @@ class SiteOrbital:
             raise ValueError("width must be positive")
 
     def evaluate(self, x, y):
-        """exp(-r^2 / 2w^2) / (w sqrt(pi)), in place on one buffer for arrays.
+        """exp(-r^2 / 2w^2) / (w sqrt(pi)) on x and y broadcast together.
 
-        Augmented operators keep numpy's choices: `**= 2` squares an array
-        and calls pow on a scalar, as `** 2` does.  (-r2) / k and r2 / (-k)
-        round alike, since IEEE division is sign-symmetric.
+        Each coordinate is shifted and squared on its own values, so on an
+        open mesh (x of shape (nx, 1), y of shape (1, ny)) those passes run
+        on nx + ny values; one broadcasting add forms r^2, and the divide,
+        exp and scale then work in place on it.  Augmented `**= 2` keeps
+        numpy's choices: it squares an array and calls pow on a scalar, as
+        `** 2` does.  (-r2) / k and r2 / (-k) round alike, since IEEE
+        division is sign-symmetric.
         """
         cx, cy = self.center
-        phi = np.subtract(x, cx, dtype=float)
-        phi **= 2
+        dx = np.subtract(x, cx, dtype=float)
+        dx **= 2
         dy = np.subtract(y, cy, dtype=float)
         dy **= 2
-        phi += dy
+        phi = dx + dy
         phi /= -(2.0 * self.width**2)
         phi = np.exp(phi, out=phi if isinstance(phi, np.ndarray) else None)
         phi /= self.width * math.sqrt(math.pi)
         return phi
 
-    def gradient(self, x, y):
+    def value_and_gradient(self, x, y):
+        """phi(x, y) and its gradient, built from that one evaluation."""
         cx, cy = self.center
         phi = self.evaluate(x, y)
         gx = -(np.asarray(x, dtype=float) - cx) / self.width**2 * phi
         gy = -(np.asarray(y, dtype=float) - cy) / self.width**2 * phi
-        return gx, gy
+        return phi, gx, gy
+
+    def gradient(self, x, y):
+        return self.value_and_gradient(x, y)[1:]
 
 
 def overlap(site_a: SiteOrbital, site_b: SiteOrbital) -> float:
@@ -160,30 +168,61 @@ class MolecularOrbital:
         Real coefficients accumulate in float arithmetic, which gives the
         real part of the complex products and sums bit for bit.
         """
+        (phi,) = evaluate_orbitals((self,), x, y)
+        return phi
+
+    def value_and_gradient(self, x, y):
+        """phi(x, y), as evaluate gives it, and its gradient, from one
+        evaluation of each site Gaussian.
+
+        The gradient accumulates in complex arithmetic, its real part taken
+        at the end for a real orbital; that fixes the sign of its zeros.
+        """
         real = self.is_real()
-        total = None
+        phi = gx = gy = None
         for coeff, (_, site) in zip(self.coefficients, self.geometry.sites):
-            term = site.evaluate(x, y)
-            if real:
-                term *= coeff.real
-            else:
-                term = coeff * term
-            if total is None:
-                total = term
-            else:
-                total += term
-        return total
+            values, site_gx, site_gy = site.value_and_gradient(x, y)
+            phi = _fold(phi, values, coeff, real)
+            gx = _fold(gx, site_gx, coeff, False)
+            gy = _fold(gy, site_gy, coeff, False)
+            del values, site_gx, site_gy  # before the next site's are made
+        if real:
+            return phi, np.real(gx), np.real(gy)
+        return phi, gx, gy
 
     def gradient(self, x, y):
-        gx_total = None
-        gy_total = None
-        for coeff, (_, site) in zip(self.coefficients, self.geometry.sites):
-            gx, gy = site.gradient(x, y)
-            gx_total = coeff * gx if gx_total is None else gx_total + coeff * gx
-            gy_total = coeff * gy if gy_total is None else gy_total + coeff * gy
-        if self.is_real():
-            return np.real(gx_total), np.real(gy_total)
-        return gx_total, gy_total
+        return self.value_and_gradient(x, y)[1:]
+
+
+def _fold(total, values, coeff: complex, real: bool):
+    """total + coeff * values, accumulated in place on total.
+
+    values stay unchanged, so one site's values fold into several orbitals;
+    a real coefficient multiplies in float arithmetic.
+    """
+    term = values * coeff.real if real else coeff * values
+    if total is None:
+        return term
+    total += term
+    return total
+
+
+def evaluate_orbitals(mos: Sequence[MolecularOrbital], x, y) -> list:
+    """phi(x, y) of each orbital of one geometry, as its evaluate gives it.
+
+    Each site Gaussian is evaluated once, folded into every orbital, and
+    dropped before the next site's is made.
+    """
+    geometry = mos[0].geometry
+    if any(mo.geometry != geometry for mo in mos):
+        raise ValueError("orbitals must share one geometry")
+    real = [mo.is_real() for mo in mos]
+    totals = [None] * len(mos)
+    for i, (_, site) in enumerate(geometry.sites):
+        values = site.evaluate(x, y)
+        totals = [_fold(t, values, mo.coefficients[i], r) for t, mo, r in zip(totals, mos, real)]
+        del values
+    return totals
 
 
 def mo_gram(mos: Mapping[str, MolecularOrbital]) -> np.ndarray:

@@ -376,6 +376,47 @@ def test_other_run_errors_are_not_reported_as_input_errors(monkeypatch) -> None:
         main(["verify"])
 
 
+def test_failed_density_run_adds_no_file_to_the_output_dir(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("from an earlier run")
+    calls = []
+
+    def failing_third_csv(grid, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise RuntimeError("disk full")
+        _write_csv(grid, path)
+
+    monkeypatch.setattr(cli, "_write_csv", failing_third_csv)
+    with pytest.raises(RuntimeError, match="disk full"):
+        main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(out)])
+    capsys.readouterr()
+    assert len(calls) == 3
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "from an earlier run"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no staging directory left
+
+
+def test_density_run_moves_its_files_into_an_existing_output_dir(
+    tmp_path: Path, capsys
+) -> None:
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("from an earlier run")
+    assert main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    written = [line.split()[-1] for line in stdout.splitlines() if "wrote" in line]
+    assert len(written) == 8
+    assert all(Path(path).parent == out for path in written)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["kept.txt", *(Path(path).name for path in written)]
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_environment_variable_overrides_output_dir(
     tmp_path: Path, capsys, monkeypatch
 ) -> None:

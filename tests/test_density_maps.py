@@ -332,3 +332,22 @@ def test_antibunching_accepts_the_single_density_as_marginal() -> None:
     assert from_grid == antibunching_check(kernel, _hund_marginal(3, mos), COARSE)
     with pytest.raises(ValueError):
         antibunching_check(kernel, single, GridSpec(resolution=(17, 17)))
+
+
+def test_callable_marginal_is_evaluated_on_the_open_mesh() -> None:
+    """A pointwise marginal gets the grid's open mesh and may return any
+    shape that broadcasts to the grid, here a function of x alone."""
+    mos = triangle_mos(2.0, 2.5)
+    kernel = pair_density(3, mos)
+    spec = GridSpec(x_range=(-5.3, 4.1), y_range=(-3.7, 6.2), resolution=(64, 48))
+    shapes = []
+
+    def marginal(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return np.exp(-0.1 * x * x)
+
+    report = antibunching_check(kernel, marginal, spec)
+    assert shapes == [((64, 1), (1, 48))]
+    x, _ = spec.meshgrid()
+    sampled = DensityGrid(spec, np.exp(-0.1 * x * x))
+    assert report == antibunching_check(kernel, sampled, spec)

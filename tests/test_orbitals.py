@@ -11,6 +11,7 @@ from fewbody.orbitals import (
     MolecularOrbital,
     SiteOrbital,
     degenerate_superpositions,
+    evaluate_orbitals,
     mo_gram,
     overlap,
     rectangle_mos,
@@ -154,10 +155,14 @@ def test_separated_limit_coefficients() -> None:
 
 
 def test_mo_gradient_matches_finite_differences() -> None:
-    mos = rectangle_mos(2.0, 2.5)
+    """Real orbitals and the complex superpositions whose flux is drawn."""
+    square = rectangle_mos(2.0, 2.0)
+    mos = [
+        *rectangle_mos(2.0, 2.5).values(),
+        *degenerate_superpositions(square["e"], square["e'"]).values(),
+    ]
     rng = np.random.default_rng(11)
-    for label in ("g", "e", "e'", "e''"):
-        mo = mos[label]
+    for mo in mos:
         for _ in range(25):
             x, y = rng.uniform(-3.0, 3.0, 2)
             gx, gy = mo.gradient(x, y)
@@ -235,6 +240,22 @@ def _reference_mo(mo: MolecularOrbital, x, y):
     return np.real(total) if mo.is_real() else total
 
 
+def _reference_mo_gradient(mo: MolecularOrbital, x, y):
+    """Complex accumulation of coeff * grad(site), real part taken at the end
+    when is_real()."""
+    gx_total = gy_total = None
+    for coeff, (_, site) in zip(mo.coefficients, mo.geometry.sites):
+        cx, cy = site.center
+        phi = _reference_site(site, x, y)
+        gx = -(np.asarray(x, dtype=float) - cx) / site.width**2 * phi
+        gy = -(np.asarray(y, dtype=float) - cy) / site.width**2 * phi
+        gx_total = coeff * gx if gx_total is None else gx_total + coeff * gx
+        gy_total = coeff * gy if gy_total is None else gy_total + coeff * gy
+    if mo.is_real():
+        return np.real(gx_total), np.real(gy_total)
+    return gx_total, gy_total
+
+
 def _bits(value):
     value = np.asarray(value)
     return value.dtype, value.tobytes()
@@ -260,3 +281,48 @@ def test_mo_evaluation_matches_complex_accumulation_bit_for_bit() -> None:
             assert _bits(mo.evaluate(x, y)) == _bits(_reference_mo(mo, x, y))
             for a, b in ((0.0, 0.0), (1.0, -1.0), (0.3, 2.5)):
                 assert _bits(mo.evaluate(a, b)) == _bits(_reference_mo(mo, a, b))
+
+
+def _figure_mo_sets():
+    square = rectangle_mos(2.0, 2.0)
+    return [triangle_mos(2.0, 2.5), square, degenerate_superpositions(square["e"], square["e'"])]
+
+
+# non-square, with asymmetric ranges: an x/y swap of the open mesh shows
+ASYMMETRIC = GridSpec(x_range=(-5.3, 4.1), y_range=(-3.7, 6.2), resolution=(64, 48))
+
+
+def test_open_mesh_matches_the_full_meshgrid_bit_for_bit() -> None:
+    open_x, open_y = ASYMMETRIC.open_mesh()
+    assert open_x.shape == (64, 1) and open_y.shape == (1, 48)
+    x, y = ASYMMETRIC.meshgrid()
+    for mos in _figure_mo_sets():
+        for _, site in next(iter(mos.values())).geometry.sites:
+            assert _bits(site.evaluate(open_x, open_y)) == _bits(site.evaluate(x, y))
+            for on_open, on_full in zip(site.gradient(open_x, open_y), site.gradient(x, y)):
+                assert _bits(on_open) == _bits(on_full)
+        for mo in mos.values():
+            phi = mo.evaluate(x, y)
+            assert _bits(mo.evaluate(open_x, open_y)) == _bits(phi)
+            on_open, on_full = mo.gradient(open_x, open_y), mo.gradient(x, y)
+            reference = _reference_mo_gradient(mo, x, y)
+            for open_part, full_part, ref_part in zip(on_open, on_full, reference):
+                assert _bits(open_part) == _bits(full_part) == _bits(ref_part)
+            # the flux's one pass gives evaluate's values
+            assert _bits(mo.value_and_gradient(open_x, open_y)[0]) == _bits(phi)
+
+
+def test_orbitals_sharing_site_values_match_their_own_evaluation() -> None:
+    """evaluate_orbitals folds one site array into every orbital of the set:
+    a fold that wrote into that shared array would corrupt the next one."""
+    x, y = ASYMMETRIC.open_mesh()
+    for mos in _figure_mo_sets():
+        own = {label: _bits(mo.evaluate(x, y)) for label, mo in mos.items()}
+        for labels in (list(mos), list(reversed(mos))):
+            values = evaluate_orbitals([mos[label] for label in labels], x, y)
+            assert {label: _bits(v) for label, v in zip(labels, values)} == own
+
+
+def test_orbitals_evaluated_together_share_one_geometry() -> None:
+    with pytest.raises(ValueError):
+        evaluate_orbitals([triangle_mos(2.0, 2.5)["g"], rectangle_mos(2.0, 2.0)["g"]], 0.0, 0.0)
