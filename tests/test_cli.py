@@ -145,6 +145,41 @@ def test_hom_eigenstate_input_passes_at_any_angle(capsys) -> None:
     assert "RESULT: PASS" in out
 
 
+def test_hom_input_aliases_name_equal_states() -> None:
+    for statistics in ("boson", "fermion"):
+        for convention in ("optical", "atomic"):
+            for alias, name in (
+                ("singlet", "HV-antisym"),
+                ("ab-antisym", "HV-antisym"),
+                ("ab-sym", "HV-sym"),
+                ("triplet0", "HV-sym"),
+                ("aa", "HH"),
+                ("bb", "VV"),
+            ):
+                assert cli._hom_input(statistics, convention, alias) == cli._hom_input(
+                    statistics, convention, name
+                )
+
+
+def test_unknown_hom_input_raises_on_every_call() -> None:
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unknown input state 'XX'"):
+            cli._hom_input("boson", "optical", "XX")
+
+
+def test_hom_input_is_unchanged_by_arithmetic_on_it() -> None:
+    first = cli._hom_input("fermion", "optical", "singlet")
+    terms = first.terms
+    first.scaled(-1.0)
+    first + first
+    first - cli._hom_input("fermion", "optical", "HH")
+    second = cli._hom_input("fermion", "optical", "singlet")
+    assert first.terms == second.terms == terms
+    assert [repr(a) for _, a in second.terms] == [repr(a) for _, a in terms]
+    assert cli.run_hom(ExperimentConfig(statistics="fermion", input="singlet")).passed
+    assert cli._hom_input("fermion", "optical", "singlet").terms == terms
+
+
 def test_verify_verb_all_green(capsys) -> None:
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -249,8 +249,30 @@ def test_beamsplitter_matrices() -> None:
 
 
 def test_transform_requires_unitary_block() -> None:
-    with pytest.raises(ValueError):
-        ModeTransform.from_matrix([[1.0, 0.0], [1.0, 1.0]])
+    nan, inf = float("nan"), float("inf")
+    rejected = [
+        [[1.0, 0.0], [1.0, 1.0]],
+        [[nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, complex(0.0, nan)]],
+        [[inf, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [-inf, 1.0]],
+        [[1.0, 1e-11], [0.0, 1.0]],  # |G_01| = 1e-11 > 1e-12
+        [[1.0, 0.0], [1e-11j, 1.0]],
+        [[1.0 + 1e-5, 0.0], [0.0, 1.0]],  # |G_00 - 1| = 2e-5 > 1e-12 + 1e-5
+    ]
+    for block in rejected:
+        with pytest.raises(ValueError):
+            ModeTransform.from_matrix(block)
+    for theta in (0.0, math.pi / 4, math.pi / 2):
+        for convention in (OPTICAL, ATOMIC):
+            beamsplitter(theta, convention)
+    # the bound is np.allclose(U U†, 1, atol=1e-12): 1e-12 off the
+    # diagonal, 1e-12 + 1e-5 on it
+    ModeTransform.from_matrix([[1.0, 1e-13], [0.0, 1.0]])
+    ModeTransform.from_matrix([[1.0, 0.0], [-1e-13j, 1.0]])
+    ModeTransform.from_matrix([[1.0 + 1e-13, 0.0], [0.0, 1.0]])
+    ModeTransform.from_matrix([[1.0 + 4e-6, 0.0], [0.0, 1.0]])
+    ModeTransform.from_matrix([[1.0, 0.0], [0.0, 1j]])
 
 
 def test_compose_matches_sequential_application() -> None:
@@ -396,3 +418,149 @@ def test_global_phase_applies_uniformly() -> None:
     assert rotated.norm() == pytest.approx(1.0, abs=1e-12)
     overlap = inner_product(state, rotated)
     assert overlap == pytest.approx(cmath.exp(-0.75j), abs=1e-12)
+
+
+# -- bit-for-bit reference for the splitter -------------------------------
+#
+# The splitter as written on the StateVector algebra: every creator builds
+# a pruned, sorted StateVector, and pieces are summed with `+`.  The engine
+# must give the same terms with the same amplitude bits, the sign of zero
+# included (a report prints +0.000000i or -0.000000i from it).
+
+
+def reference_create(state: StateVector, mode: Mode) -> StateVector:
+    statistics = state.statistics
+    out: dict[OccupationState, complex] = {}
+    for occ, amp in state.terms:
+        counts = occ.counts()
+        n = counts.get(mode, 0)
+        if statistics == FERMION:
+            if n == 1:
+                continue
+            factor = -1.0 if occ.occupancy_before(mode) % 2 else 1.0
+        else:
+            factor = math.sqrt(n + 1)
+        counts[mode] = n + 1
+        new_occ = OccupationState.from_counts(statistics, counts)
+        out[new_occ] = out.get(new_occ, 0j) + amp * factor
+    return StateVector.from_dict(statistics, out)
+
+
+def reference_annihilate(state: StateVector, mode: Mode) -> StateVector:
+    out: dict[OccupationState, complex] = {}
+    for occ, amp in state.terms:
+        counts = occ.counts()
+        n = counts.get(mode, 0)
+        if n == 0:
+            continue
+        if state.statistics == FERMION:
+            factor = -1.0 if occ.occupancy_before(mode) % 2 else 1.0
+        else:
+            factor = math.sqrt(n)
+        counts[mode] = n - 1
+        new_occ = OccupationState.from_counts(state.statistics, counts)
+        out[new_occ] = out.get(new_occ, 0j) + amp * factor
+    return StateVector.from_dict(state.statistics, out)
+
+
+def reference_apply(state: StateVector, transform: ModeTransform) -> StateVector:
+    statistics = state.statistics
+    total = StateVector.zero(statistics)
+    for occ, amp in state.terms:
+        norm = 1.0
+        for _, n in occ.occupancy:
+            norm *= math.factorial(n)
+        current = StateVector.from_dict(
+            statistics, {OccupationState(statistics, ()): amp / math.sqrt(norm)}
+        )
+        for mode_, n in reversed(occ.occupancy):
+            images = transform.image(mode_)
+            for _ in range(n):
+                pieces = StateVector.zero(statistics)
+                for out_mode, coeff in images:
+                    if abs(coeff) <= 1e-13:
+                        continue
+                    pieces = pieces + reference_create(current, out_mode).scaled(coeff)
+                current = pieces
+        total = total + current
+    return total
+
+
+def amplitude_bits(state: StateVector) -> tuple:
+    return state.statistics, [(occ, repr(amp)) for occ, amp in state.terms]
+
+
+SPLIT_MODES = [Mode(1, "H"), Mode(1, "V"), Mode(2, "H"), Mode(2, "V")]
+
+
+def occupation(statistics: str, modes) -> OccupationState:
+    counts: dict[Mode, int] = {}
+    for m in modes:
+        counts[m] = counts.get(m, 0) + 1
+    return OccupationState.from_counts(statistics, counts)
+
+
+def splitter_inputs(statistics: str, rng) -> list[StateVector]:
+    """Vacuum, one to three particles, one to three terms; for bosons also
+    double and triple occupation; and terms near the 1e-13 prune bound."""
+    H1, V1, H2, V2 = SPLIT_MODES
+    fixed = [
+        [((), 0.3 - 0.4j)],
+        [((H1,), 1.0)],
+        [((H1, V2), 0.6), ((V1, H2), -0.8j)],
+        [((H1, H2), 1.0), ((), 0.5j), ((V1, V2, H2), -0.25)],
+        # a term far below the others' scale: its pieces are pruned at
+        # every step, so no bit of the large term's outputs may move
+        [((H1, V2), 0.8 + 0.1j), ((V1, H2), 1.5e-13)],
+        [((H1, V2), 0.8), ((V1, H2), 3e-13j), ((H1, H2), -2.2e-13)],
+    ]
+    if statistics == BOSON:
+        fixed += [
+            [((H1, H1), 1.0)],
+            [((H1, H1, H2), -0.7j), ((V2, V2, V2), 0.7)],
+            # 1.3e-13 / sqrt(2!) falls below the bound before any creator
+            [((H1, H2), 0.9), ((H1, H1), 1.3e-13), ((H2, H2), 1.3e-13j)],
+        ]
+    states = [
+        StateVector.from_dict(statistics, {occupation(statistics, m): a for m, a in terms})
+        for terms in fixed
+    ]
+    while len(states) < len(fixed) + 12:
+        terms = {}
+        for _ in range(int(rng.integers(1, 4))):
+            count = int(rng.integers(0, 4))
+            picks = rng.choice(4, size=count, replace=statistics == BOSON)
+            occ = occupation(statistics, [SPLIT_MODES[i] for i in picks])
+            terms[occ] = complex(rng.normal(), rng.normal())
+        states.append(StateVector.from_dict(statistics, terms))
+    return states
+
+
+def test_splitter_matches_the_state_vector_algebra_bit_for_bit() -> None:
+    rng = np.random.default_rng(20261018)
+    angles = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
+    angles += [float(t) for t in rng.uniform(-math.pi, 2 * math.pi, size=6)]
+    for statistics in (BOSON, FERMION):
+        inputs = splitter_inputs(statistics, rng)
+        for convention in (OPTICAL, ATOMIC):
+            for theta in angles:
+                transform = beamsplitter(theta, convention)
+                for state in inputs:
+                    assert amplitude_bits(
+                        apply_mode_transform(state, transform)
+                    ) == amplitude_bits(reference_apply(state, transform)), (
+                        statistics, convention, theta, state,
+                    )
+
+
+def test_create_and_annihilate_match_the_reference_bit_for_bit() -> None:
+    rng = np.random.default_rng(1018)
+    for statistics in (BOSON, FERMION):
+        for state in splitter_inputs(statistics, rng):
+            for m in SPLIT_MODES:
+                assert amplitude_bits(create(state, m)) == amplitude_bits(
+                    reference_create(state, m)
+                )
+                assert amplitude_bits(annihilate(state, m)) == amplitude_bits(
+                    reference_annihilate(state, m)
+                )
