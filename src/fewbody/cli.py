@@ -12,6 +12,7 @@ are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import shutil
@@ -200,6 +201,7 @@ def _two_particle(statistics: str, terms) -> StateVector:
     return state
 
 
+@functools.cache  # a shared StateVector is safe: it is frozen
 def _hom_input(statistics: str, convention: str, name: str) -> StateVector:
     spin_up, spin_dn = ("a", "b") if convention == "atomic" else ("H", "V")
     if statistics == "fermion" and convention == "optical":

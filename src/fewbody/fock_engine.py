@@ -13,6 +13,7 @@ are reproducible; it is a property of the engine, not a configuration.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -130,41 +131,55 @@ def basis_state(statistics: str, modes: Sequence[Mode], amplitude: complex = 1.0
     return state
 
 
-def create(state: StateVector, mode: Mode) -> StateVector:
-    """Apply a creation operator; fermionic double occupation vanishes."""
-    statistics = state.statistics
+@functools.cache
+def _raised(occ: OccupationState, mode: Mode) -> tuple[OccupationState, float] | None:
+    """a†(mode) on one configuration: (new configuration, factor), or None
+    for a fermionic double occupation.  Cached for the life of the process
+    (keys: the configurations and modes it has met), so a repeated step is
+    one lookup and returns the same configuration object."""
+    counts = occ.counts()
+    n = counts.get(mode, 0)
+    if occ.statistics == FERMION:
+        if n == 1:
+            return None
+        factor = -1.0 if occ.occupancy_before(mode) % 2 else 1.0
+    else:
+        factor = math.sqrt(n + 1)
+    counts[mode] = n + 1
+    return OccupationState.from_counts(occ.statistics, counts), factor
+
+
+def _lowered(occ: OccupationState, mode: Mode) -> tuple[OccupationState, float] | None:
+    """a(mode) on one configuration, the adjoint of `_raised`: None for an
+    empty mode, else the lowered configuration and the factor of raising it
+    back."""
+    counts = occ.counts()
+    n = counts.get(mode, 0)
+    if n == 0:
+        return None
+    counts[mode] = n - 1
+    lowered = OccupationState.from_counts(occ.statistics, counts)
+    return lowered, _raised(lowered, mode)[1]
+
+
+def _ladder(state: StateVector, mode: Mode, step) -> StateVector:
     out: dict[OccupationState, complex] = {}
     for occ, amp in state.terms:
-        counts = occ.counts()
-        n = counts.get(mode, 0)
-        if statistics == FERMION:
-            if n == 1:
-                continue
-            factor = -1.0 if occ.occupancy_before(mode) % 2 else 1.0
-        else:
-            factor = math.sqrt(n + 1)
-        counts[mode] = n + 1
-        new_occ = OccupationState.from_counts(statistics, counts)
-        out[new_occ] = out.get(new_occ, 0j) + amp * factor
-    return StateVector.from_dict(statistics, out)
+        moved = step(occ, mode)
+        if moved is not None:
+            new_occ, factor = moved
+            out[new_occ] = out.get(new_occ, 0j) + amp * factor
+    return StateVector._build(state.statistics, out)
+
+
+def create(state: StateVector, mode: Mode) -> StateVector:
+    """Apply a creation operator; fermionic double occupation vanishes."""
+    return _ladder(state, mode, _raised)
 
 
 def annihilate(state: StateVector, mode: Mode) -> StateVector:
     """Adjoint of create; annihilating an empty mode gives the zero vector."""
-    out: dict[OccupationState, complex] = {}
-    for occ, amp in state.terms:
-        counts = occ.counts()
-        n = counts.get(mode, 0)
-        if n == 0:
-            continue
-        if state.statistics == FERMION:
-            factor = -1.0 if occ.occupancy_before(mode) % 2 else 1.0
-        else:
-            factor = math.sqrt(n)
-        counts[mode] = n - 1
-        new_occ = OccupationState.from_counts(state.statistics, counts)
-        out[new_occ] = out.get(new_occ, 0j) + amp * factor
-    return StateVector.from_dict(state.statistics, out)
+    return _ladder(state, mode, _lowered)
 
 
 @dataclass(frozen=True)
@@ -178,9 +193,15 @@ class ModeTransform:
     site_block: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self) -> None:
-        u = self.matrix()
-        if not np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12):
-            raise ValueError("site block is not unitary")
+        # np.allclose(U U†, 1, atol=1e-12) entry by entry; `not <=` also
+        # rejects a NaN
+        rows = self.site_block
+        for i, (a, b) in enumerate(rows):
+            for j, (c, d) in enumerate(rows):
+                delta = 1.0 if i == j else 0.0
+                g = a * c.conjugate() + b * d.conjugate()
+                if not abs(g - delta) <= 1e-12 + 1e-5 * delta:
+                    raise ValueError("site block is not unitary")
 
     @staticmethod
     def from_matrix(matrix) -> "ModeTransform":
@@ -235,28 +256,50 @@ def apply_mode_transform(state: StateVector, transform: ModeTransform) -> StateV
     polynomial a†(m1)^n1 ... a†(mk)^nk |0⟩ / √(n1! ... nk!) with modes in
     the fixed order; every creator is replaced by its image and the
     product is re-expanded onto the vacuum right-to-left.  The vacuum
-    itself is left unchanged (its phase is fixed to zero).
+    itself is left unchanged (its phase is fixed to zero).  Amplitudes of
+    magnitude 1e-13 or less are pruned after every step: each created
+    term, each term scaled by an image coefficient, each sum of the pieces
+    of one creator, and each sum into the total.
     """
     statistics = state.statistics
-    total = StateVector.zero(statistics)
+    total: dict[OccupationState, complex] = {}
     for occ, amp in state.terms:
         norm = 1.0
         for _, n in occ.occupancy:
             norm *= math.factorial(n)
-        current = StateVector.from_dict(
-            statistics, {vacuum(statistics): amp / math.sqrt(norm)}
-        )
+        current = {vacuum(statistics): complex(amp / math.sqrt(norm))}
         for mode, n in reversed(occ.occupancy):
             images = transform.image(mode)
             for _ in range(n):
-                pieces = StateVector.zero(statistics)
+                pieces: dict[OccupationState, complex] = {}
                 for out_mode, coeff in images:
                     if abs(coeff) <= _PRUNE:
                         continue
-                    pieces = pieces + create(current, out_mode).scaled(coeff)
+                    for prev, value in current.items():
+                        moved = _raised(prev, out_mode)
+                        if moved is None:
+                            continue
+                        new_occ, factor = moved
+                        value = 0j + value * factor
+                        if not abs(value) > _PRUNE:
+                            continue
+                        value = value * coeff
+                        if not abs(value) > _PRUNE:
+                            continue
+                        _accumulate(pieces, new_occ, value)
                 current = pieces
-        total = total + current
-    return total
+        for key, value in current.items():
+            _accumulate(total, key, value)
+    return StateVector._build(statistics, total)
+
+
+def _accumulate(out: dict, key, value: complex) -> None:
+    """out[key] += value as StateVector `+` does it: from 0, then pruned."""
+    value = out.get(key, 0) + value
+    if abs(value) > _PRUNE:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
 def accumulated_phase(detuning_trajectory: Sequence[tuple[float, float]]) -> float:

@@ -520,6 +520,7 @@ def splitter_inputs(statistics: str, rng) -> list[StateVector]:
             [((H1, H1, H2), -0.7j), ((V2, V2, V2), 0.7)],
             # 1.3e-13 / sqrt(2!) falls below the bound before any creator
             [((H1, H2), 0.9), ((H1, H1), 1.3e-13), ((H2, H2), 1.3e-13j)],
+            [((H1, H1), 1.41421e-13), ((V2,), 0.5)],
         ]
     states = [
         StateVector.from_dict(statistics, {occupation(statistics, m): a for m, a in terms})
@@ -544,13 +545,18 @@ def test_splitter_matches_the_state_vector_algebra_bit_for_bit() -> None:
         inputs = splitter_inputs(statistics, rng)
         for convention in (OPTICAL, ATOMIC):
             for theta in angles:
-                transform = beamsplitter(theta, convention)
-                for state in inputs:
-                    assert amplitude_bits(
-                        apply_mode_transform(state, transform)
-                    ) == amplitude_bits(reference_apply(state, transform)), (
-                        statistics, convention, theta, state,
-                    )
+                exact = beamsplitter(theta, convention)
+                # inside the unitarity bound, with coefficients up to
+                # 1 + 4e-6: a term just under 1e-13 that is not pruned
+                # when it is created grows past the bound when scaled
+                stretched = ModeTransform.from_matrix(exact.matrix() * (1 + 4e-6))
+                for transform in (exact, stretched):
+                    for state in inputs:
+                        assert amplitude_bits(
+                            apply_mode_transform(state, transform)
+                        ) == amplitude_bits(reference_apply(state, transform)), (
+                            statistics, transform, state,
+                        )
 
 
 def test_create_and_annihilate_match_the_reference_bit_for_bit() -> None:
