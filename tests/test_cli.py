@@ -168,16 +168,17 @@ def test_unknown_hom_input_raises_on_every_call() -> None:
 
 
 def test_hom_input_is_unchanged_by_arithmetic_on_it() -> None:
+    def snapshot(state):
+        return [(occ, repr(amp)) for occ, amp in state.terms]
+
     first = cli._hom_input("fermion", "optical", "singlet")
-    terms = first.terms
-    first.scaled(-1.0)
-    first + first
-    first - cli._hom_input("fermion", "optical", "HH")
-    second = cli._hom_input("fermion", "optical", "singlet")
-    assert first.terms == second.terms == terms
-    assert [repr(a) for _, a in second.terms] == [repr(a) for _, a in terms]
+    before = snapshot(first)
+    other = cli._hom_input("fermion", "optical", "HH")
+    results = [first.scaled(-1.0), first + first, first - other]
+    assert all(snapshot(r) != before for r in results)
     assert cli.run_hom(ExperimentConfig(statistics="fermion", input="singlet")).passed
-    assert cli._hom_input("fermion", "optical", "singlet").terms == terms
+    second = cli._hom_input("fermion", "optical", "singlet")
+    assert snapshot(first) == snapshot(second) == before
 
 
 def test_verify_verb_all_green(capsys) -> None:

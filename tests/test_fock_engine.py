@@ -523,7 +523,9 @@ def splitter_inputs(statistics: str, rng) -> list[StateVector]:
             [((H1, H1), 1.41421e-13), ((V2,), 0.5)],
         ]
     states = [
-        StateVector.from_dict(statistics, {occupation(statistics, m): a for m, a in terms})
+        StateVector.from_dict(
+            statistics, {occupation(statistics, m): a for m, a in terms}
+        )
         for terms in fixed
     ]
     while len(states) < len(fixed) + 12:
