@@ -1,4 +1,4 @@
-"""End-to-end byte identity of the `density` and `hom` verbs and of the grid maps.
+"""End-to-end byte identity of the `density`, `hom` and `verify` verbs and of the grid maps.
 
 Small runs are pinned by the sha256 and byte count of every file they write
 and by their full rendered stdout.  The 16x16 values were recorded from the
@@ -13,6 +13,8 @@ into one; the angles include 0 and pi/2, where the splitter output carries
 signed-zero amplitudes that the report prints as `+0.000000i`/`-0.000000i`.
 The maps on the 64x48 asymmetric grid were recorded before orbitals were
 evaluated on the open mesh (x of shape (nx, 1), y of shape (1, ny)).
+The `verify` stdout was recorded before the library API that no verb uses
+was cut from spin_algebra, symmetric_group and wavefunction_algebra.
 Refactors that keep the output contract must keep these green.
 """
 import dataclasses
@@ -398,3 +400,26 @@ def test_hom_reports_are_byte_identical(case: tuple[str, str, str]) -> None:
         )
         digest.update(run_hom(config).render().encode() + b"\n")
     assert digest.hexdigest() == HOM_HASHES[case]
+
+
+VERIFY_STDOUT = """\
+== verify ==
+[PASS] recoupling identity, pair spin s=0  (residual 0.0e+00)
+[PASS] recoupling identity, pair spin s=1  (residual 0.0e+00)
+[PASS] family sum vanishes (n=3, kind 0)  (|sum|^2 = 0.0e+00)
+[PASS] family sum vanishes (n=3, kind 1)  (|sum|^2 = 0.0e+00)
+[PASS] family sum vanishes (n=4, kind 0)  (|sum|^2 = 0.0e+00)
+[PASS] family sum vanishes (n=4, kind 1)  (|sum|^2 = 0.0e+00)
+[PASS] coupling-scheme orthogonality (n=3, fermion)  (|<1|2>| = 0.0e+00)
+[PASS] coupling-scheme orthogonality (n=3, boson)  (|<1|2>| = 0.0e+00)
+[PASS] coupling-scheme orthogonality (n=4, fermion)  (|<1|2>| = 0.0e+00)
+[PASS] coupling-scheme orthogonality (n=4, boson)  (|<1|2>| = 0.0e+00)
+[PASS] spin-trace prefactors (n=3)  (diagonal 1.500000, cross -0.866025)
+[PASS] spin-trace prefactors (n=4)  (diagonal 1.500000, cross -0.866025)
+RESULT: PASS
+"""
+
+
+def test_verify_stdout_is_byte_identical(capsys) -> None:
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT
