@@ -79,9 +79,6 @@ class ExperimentConfig:
     def c1(self) -> complex:
         return self.c1_magnitude * complex(math.cos(self.c1_phase), math.sin(self.c1_phase))
 
-    def c2(self) -> complex:
-        return self.c2_magnitude * complex(math.cos(self.c2_phase), math.sin(self.c2_phase))
-
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
@@ -798,22 +795,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         config = parse_config(Path(args.config).read_text())
     config = apply_overrides(config, getattr(args, "set", []) or [])
-    for key in ("statistics", "input", "convention", "name", "geometry"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config = replace(config, **{key: value})
-    for key in ("theta", "a", "h", "b"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config = replace(config, **{key: float(value)})
-    if getattr(args, "particles", None) is not None:
-        config = replace(config, particles=int(args.particles))
     env_dir = os.environ.get("FEWBODY_OUTPUT_DIR")
     if env_dir:
         config = replace(config, output_dir=env_dir)
-    if getattr(args, "output_dir", None):
-        config = replace(config, output_dir=args.output_dir)
-    return config
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    if not flags["output_dir"]:  # an empty --output-dir is ignored
+        flags["output_dir"] = None
+    return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -867,6 +855,8 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
         _hom_input(config.statistics, config.convention, config.input)
         beamsplitter(config.theta, config.convention)
     elif verb == "density":
+        if os.path.basename(config.name) != config.name:
+            raise ValueError(f"name {config.name!r} must be a plain file name")
         _density_inputs(config)
 
 

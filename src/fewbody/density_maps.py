@@ -25,6 +25,8 @@ from .wavefunction_algebra import (
 
 DEFAULT_EXTENT = 6.0
 DEFAULT_RESOLUTION = 256
+#: antibunching_check compares only points where rho(r) exceeds this
+DENSITY_FLOOR = 1e-8
 
 Point = tuple[float, float]
 
@@ -165,10 +167,6 @@ class PairDensityKernel:
             self._grid_orbitals[spec] = orbital_values
         return orbital_values
 
-    def diagonal(self, x, y):
-        point = (x, y)
-        return self(point, point)
-
 
 def pair_density(
     n: int,
@@ -236,7 +234,6 @@ def antibunching_check(
     kernel: Callable,
     marginal: Callable | DensityGrid,
     spec: GridSpec | None = None,
-    density_floor: float = 1e-8,
 ) -> AntibunchingReport:
     """Compare pair(r, r) against the independent-events benchmark rho(r)^2.
 
@@ -244,7 +241,7 @@ def antibunching_check(
     marginal(x, y), which must be pointwise: it is called once on the
     grid's open mesh (x of shape (nx, 1), y of shape (1, ny)) and its result
     is broadcast to the grid.  Only grid points with rho(r) above
-    `density_floor` participate; the report carries the maximum ratio
+    DENSITY_FLOOR participate; the report carries the maximum ratio
     pair(r,r)/rho(r)^2 and where it occurs.  Strict inequality everywhere
     marks the state antibunched.
     """
@@ -258,7 +255,7 @@ def antibunching_check(
         rho = np.broadcast_to(rho, spec.resolution)
     grid = _every_cell(kernel, spec)
     coincidence = np.asarray(kernel(grid, grid), dtype=float)
-    mask = rho > density_floor
+    mask = rho > DENSITY_FLOOR
     ratios = np.where(mask, coincidence / np.where(mask, rho * rho, 1.0), -np.inf)
     idx = int(np.argmax(ratios))
     i, j = np.unravel_index(idx, ratios.shape)

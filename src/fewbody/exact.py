@@ -3,7 +3,7 @@
 Values have the form sum_k c_k * sqrt(n_k) with rational c_k and squarefree
 positive integer radicands n_k.  The set is closed under addition and
 multiplication, which covers every coefficient produced by Clebsch-Gordan,
-6j/9j and symmetrizer algebra in this package.  Division is supported for
+6j and symmetrizer algebra in this package.  Division is supported for
 single-term values only, which is all that state normalization needs.
 
 Adding or multiplying a float or complex gives the complex value

@@ -70,9 +70,6 @@ class OccupationState:
     def counts(self) -> dict[Mode, int]:
         return dict(self.occupancy)
 
-    def total(self) -> int:
-        return sum(n for _, n in self.occupancy)
-
     def occupancy_before(self, mode: Mode) -> int:
         """Sum of occupancies over modes strictly preceding `mode`."""
         return sum(n for m, n in self.occupancy if m < mode)
@@ -111,12 +108,6 @@ class StateVector(SparseVector):
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(amp) ** 2 for _, amp in self.terms))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return self.scaled(1.0 / n)
 
 
 def basis_state(statistics: str, modes: Sequence[Mode], amplitude: complex = 1.0) -> StateVector:
@@ -224,10 +215,6 @@ class ModeTransform:
             (Mode(2, mode.spin), self.site_block[1][col]),
         )
 
-    def compose(self, other: "ModeTransform") -> "ModeTransform":
-        """The transform equivalent to applying `other` first, then self."""
-        return ModeTransform.from_matrix(self.matrix() @ other.matrix())
-
 
 OPTICAL = "optical"
 ATOMIC = "atomic"
@@ -300,21 +287,3 @@ def _accumulate(out: dict, key, value: complex) -> None:
         out[key] = value
     else:
         out.pop(key, None)
-
-
-def accumulated_phase(detuning_trajectory: Sequence[tuple[float, float]]) -> float:
-    """Dynamical mixing angle θ = −∫Δ dt from sampled (time, Δ) pairs."""
-    samples = list(detuning_trajectory)
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    times = np.array([t for t, _ in samples], dtype=float)
-    values = np.array([d for _, d in samples], dtype=float)
-    if not np.all(np.diff(times) > 0):
-        raise ValueError("times must be strictly increasing")
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return -float(trapezoid(values, times))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """⟨a|b⟩ with the occupation basis orthonormal."""
-    return a.inner(b, 0j)

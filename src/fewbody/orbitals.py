@@ -157,11 +157,6 @@ class MolecularOrbital:
     def is_real(self) -> bool:
         return all(abs(c.imag) == 0.0 for c in self.coefficients)
 
-    def metric_norm(self) -> float:
-        coeffs = np.asarray(self.coefficients)
-        s = self.geometry.overlap_matrix()
-        return math.sqrt(float(np.real(coeffs.conj() @ s @ coeffs)))
-
     def evaluate(self, x, y):
         """phi(x, y); float64 when every coefficient is real.
 

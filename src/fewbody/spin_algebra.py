@@ -1,6 +1,6 @@
 """Exact angular-momentum coupling for two to four spin-1/2 particles.
 
-Clebsch-Gordan coefficients, Wigner 6j and 9j symbols from the Racah sum
+Clebsch-Gordan coefficients and Wigner 6j symbols from the Racah sum
 formulas in exact arithmetic, and coupled-basis states for three and four
 spins.  Phase convention is Condon-Shortley throughout.
 
@@ -171,32 +171,6 @@ def wigner6j(
     return pref * rational(total)
 
 
-def wigner9j(
-    j1: SpinValue, j2: SpinValue, j3: SpinValue,
-    j4: SpinValue, j5: SpinValue, j6: SpinValue,
-    j7: SpinValue, j8: SpinValue, j9: SpinValue,
-) -> SqrtRational:
-    """Exact 9j symbol as the standard sum over triple 6j products."""
-    js = [_half(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9)]
-    j1, j2, j3, j4, j5, j6, j7, j8, j9 = js
-    lo = max(abs(j1 - j9), abs(j2 - j6), abs(j4 - j8))
-    hi = min(j1 + j9, j2 + j6, j4 + j8)
-    total = ZERO
-    x = lo
-    while x <= hi:
-        term = (
-            wigner6j(j1, j4, j7, j8, j9, x)
-            * wigner6j(j2, j5, j8, j4, x, j6)
-            * wigner6j(j3, j6, j9, x, j1, j2)
-        )
-        sign = (-1) ** int(2 * x)
-        total = total + term * rational((2 * x + 1).numerator * sign) / rational(
-            (2 * x + 1).denominator
-        )
-        x += Fraction(1, 2) if (hi - lo).denominator == 2 else 1
-    return total
-
-
 class SpinState(SparseVector):
     """Exact spin state over the product basis of n spin-1/2 particles.
 
@@ -211,12 +185,6 @@ class SpinState(SparseVector):
         if any(len(key) != n for key in keys):
             raise ValueError("projection tuple length mismatch")
         return n
-
-    def total_m(self) -> Fraction:
-        projections = {sum(k) for k, _ in self.terms}
-        if len(projections) > 1:
-            raise ValueError("state mixes M sectors")
-        return projections.pop() if projections else Fraction(0)
 
 
 def spin_overlap(a: SpinState, b: SpinState) -> SqrtRational:
@@ -297,23 +265,15 @@ def _coupled_state_3(lone_particle: int, s: Fraction, M: Fraction) -> SpinState:
     return _finalize(3, partial)
 
 
-def coupled_state_4(
-    pairing: int | tuple[tuple[int, int], tuple[int, int]], s_pairs: SpinValue
-) -> SpinState:
+def coupled_state_4(pairing: int, s_pairs: SpinValue) -> SpinState:
     """|s_p1, s_p2; S=0, M=0> for four spin-1/2 particles.
 
     pairing is an index 1..3 into the splittings (1,2)(3,4), (2,3)(1,4),
-    (3,1)(2,4), or the splitting itself; both pairs carry spin s_pairs.
+    (3,1)(2,4); both pairs carry spin s_pairs.
     """
-    if isinstance(pairing, int):
-        if pairing not in (1, 2, 3):
-            raise ValueError(f"pairing index {pairing} not in 1..3")
-        p1, p2 = PAIRINGS_4[pairing - 1]
-    else:
-        pairing = (tuple(pairing[0]), tuple(pairing[1]))
-        if pairing not in PAIRINGS_4:
-            raise ValueError(f"unknown pairing {pairing}")
-        p1, p2 = pairing
+    if pairing not in (1, 2, 3):
+        raise ValueError(f"pairing index {pairing} not in 1..3")
+    p1, p2 = PAIRINGS_4[pairing - 1]
     s = _half(s_pairs)
     if s not in (Fraction(0), Fraction(1)):
         raise ValueError(f"pair spin {s_pairs} not in {{0, 1}}")

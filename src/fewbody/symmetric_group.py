@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _iter_permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,6 @@ class Permutation:
         if self.n != other.n:
             raise ValueError("size mismatch")
         return Permutation(tuple(self(other(c)) for c in range(1, self.n + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for c in range(1, self.n + 1):
-            inv[self(c) - 1] = c
-        return Permutation(tuple(inv))
 
     def sign(self) -> int:
         seen = [False] * self.n
@@ -78,25 +72,12 @@ class Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
     @staticmethod
-    def transposition(n: int, a: int, b: int) -> "Permutation":
-        image = list(range(1, n + 1))
-        image[a - 1], image[b - 1] = b, a
-        return Permutation(tuple(image))
-
-    @staticmethod
     def from_mapping(n: int, mapping: dict[int, int]) -> "Permutation":
         """Permutation sending src -> dst for mapping entries, fixing the rest."""
         image = list(range(1, n + 1))
         for src, dst in mapping.items():
             image[src - 1] = dst
         return Permutation(tuple(image))
-
-
-def all_permutations(n: int) -> list[Permutation]:
-    """All n! permutations of 1..n for n in {2, 3, 4}."""
-    if n not in (2, 3, 4):
-        raise ValueError(f"n = {n} outside supported range 2..4")
-    return [Permutation(img) for img in _iter_permutations(range(1, n + 1))]
 
 
 @dataclass(frozen=True)
@@ -113,13 +94,6 @@ class YoungDiagram:
     @property
     def size(self) -> int:
         return sum(self.partition)
-
-    def transpose(self) -> "YoungDiagram":
-        cols = tuple(
-            sum(1 for row_len in self.partition if row_len > c)
-            for c in range(self.partition[0])
-        )
-        return YoungDiagram(cols)
 
 
 def _is_standard(diagram: YoungDiagram, rows: tuple[tuple[int, ...], ...]) -> bool:

@@ -245,11 +245,7 @@ def _assemble_state(
     norm_sq = full_overlap(state, state)
     if norm_sq.is_zero():
         raise VanishingRepresentationError("assembled state has zero norm")
-    if norm_sq.is_rational():
-        return state.scaled(ONE / sqrt_rational(norm_sq.as_rational()))
-    # norm^2 with an irrational part cannot be square-rooted exactly
-    approx = Fraction(1.0 / float(norm_sq) ** 0.5).limit_denominator(10**15)
-    return state.scaled(rational(approx))
+    return state.scaled(ONE / sqrt_rational(norm_sq.as_rational()))
 
 
 class ReducedDensity(SparseVector):
@@ -265,17 +261,6 @@ class ReducedDensity(SparseVector):
     @staticmethod
     def _checked(kept: Sequence[int], keys) -> tuple[int, ...]:
         return tuple(kept)
-
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        d = self.as_dict()
-        for (ket, bra), coef in d.items():
-            partner = d.get((bra, ket))
-            if partner is None:
-                return False
-            diff = complex(coef) - complex(partner).conjugate()
-            if abs(diff) > tol:
-                return False
-        return True
 
 
 def spin_trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensity:
@@ -345,12 +330,12 @@ def marginalize(density: ReducedDensity, keep: Iterable[int]) -> ReducedDensity:
 
 def evaluate_density(
     density: ReducedDensity,
-    orbital_evaluator: Callable | Mapping[str, Callable],
+    orbital_evaluator: Mapping[str, Callable],
     points: Sequence,
 ):
     """Evaluate the kernel diagonal at one position per kept coordinate.
 
-    orbital_evaluator resolves a label to phi(x, y).  points holds one entry
+    orbital_evaluator maps a label to phi(x, y).  points holds one entry
     per kept coordinate: an (x, y) pair (scalars or arrays), or a mapping
     from label to that coordinate's orbital values, already evaluated.
     Coordinates given the same point object share their orbital values.
@@ -366,8 +351,6 @@ def evaluate_density(
         if isinstance(point, Mapping):
             return point[label]
         x, y = point
-        if callable(orbital_evaluator):
-            return orbital_evaluator(label, x, y)
         return orbital_evaluator[label](x, y)
 
     phi: dict[tuple[int, str], object] = {}

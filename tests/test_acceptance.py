@@ -298,7 +298,7 @@ def test_07_antibunching_on_fine_grids() -> None:
             e = mos["e"].evaluate(x, y)
             return wg * g * g + we * e * e
 
-        report = antibunching_check(kernel, marginal, FINE, density_floor=1e-8)
+        report = antibunching_check(kernel, marginal, FINE)
         assert report.points_checked > 0
         assert report.antibunched, (
             f"n={n}: ratio {report.max_ratio} at {report.location}"

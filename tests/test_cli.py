@@ -389,12 +389,15 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--a", "-1"],
         ["density", "--set", "x_min=nan"],
         ["hom", "--input", "XX"],
+        ["density", "--name", "a/b"],
+        ["density", "--name", "../x"],
     ],
-    ids=["nx=4", "a=-1", "x_min=nan", "hom-input-XX"],
+    ids=["nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent"],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys) -> None:
     out = tmp_path / "out"
     _assert_invalid_input(main([*argv, "--output-dir", str(out)]), capsys, out)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_far_conditioning_point_exits_2_before_writing(tmp_path: Path, capsys) -> None:

@@ -15,13 +15,11 @@ from fewbody.fock_engine import (
     ModeTransform,
     OccupationState,
     StateVector,
-    accumulated_phase,
     annihilate,
     apply_mode_transform,
     basis_state,
     beamsplitter,
     create,
-    inner_product,
 )
 
 HBAR = "H̄"
@@ -230,8 +228,8 @@ def test_annihilate_is_adjoint_of_create() -> None:
             a = kets[0]
             b = kets[1]
             m = ALL_MODES[int(rng.integers(0, 4))]
-            lhs = inner_product(a, create(b, m))
-            rhs = inner_product(annihilate(a, m), b)
+            lhs = a.inner(create(b, m), 0j)
+            rhs = annihilate(a, m).inner(b, 0j)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -280,11 +278,10 @@ def test_compose_matches_sequential_application() -> None:
     second = beamsplitter(0.9, ATOMIC)
     state = basis_state(BOSON, [mode(1, "a"), mode(2, "a"), mode(2, "a")], 0.8j)
     chained = apply_mode_transform(apply_mode_transform(state, first), second)
-    fused = apply_mode_transform(state, second.compose(first))
-    assert amplitude_distance(chained, fused) <= 1e-12
-    np.testing.assert_allclose(
-        second.compose(first).matrix(), second.matrix() @ first.matrix(), atol=1e-15
+    fused = apply_mode_transform(
+        state, ModeTransform.from_matrix(second.matrix() @ first.matrix())
     )
+    assert amplitude_distance(chained, fused) <= 1e-12
 
 
 def test_inverse_transform_restores_the_state() -> None:
@@ -324,9 +321,7 @@ def test_statistics_never_mix() -> None:
     with pytest.raises(ValueError):
         basis_state(BOSON, [mode(1, "H")]) + basis_state(FERMION, [mode(1, "H")])
     with pytest.raises(ValueError):
-        inner_product(
-            basis_state(BOSON, [mode(1, "H")]), basis_state(FERMION, [mode(1, "H")])
-        )
+        basis_state(BOSON, [mode(1, "H")]).inner(basis_state(FERMION, [mode(1, "H")]), 0j)
 
 
 def test_state_vectors_prune_below_1e_13_and_sort_by_occupancy() -> None:
@@ -363,60 +358,13 @@ def test_mode_validation() -> None:
         Mode(0, "H")
 
 
-# -- accumulated interaction phase ---------------------------------------
-
-
-def test_phase_of_constant_detuning_is_exact() -> None:
-    trajectory = [(0.1 * k, 2.5) for k in range(11)]
-    assert accumulated_phase(trajectory) == pytest.approx(-2.5, abs=1e-15)
-
-
-def test_phase_of_linear_detuning_is_exact() -> None:
-    # trapezoid integrates affine integrands with zero error
-    trajectory = [(t, 3.0 * t - 1.0) for t in np.linspace(0.0, 2.0, 17)]
-    assert accumulated_phase(trajectory) == pytest.approx(-4.0, abs=1e-14)
-
-
-def test_phase_of_sine_burst_carries_trapezoid_error() -> None:
-    times = np.linspace(0.0, math.pi, 1001)
-    trajectory = list(zip(times, np.sin(times)))
-    theta = accumulated_phase(trajectory)
-    assert theta == pytest.approx(-1.9999983550656624, abs=1e-12)
-    # composite-trapezoid bias h^2/6 for this integrand, so the result
-    # sits 1.645e-6 away from -2 and second-order refinement shrinks it
-    h = math.pi / 1000
-    assert abs(theta + 2.0) == pytest.approx(h * h / 6, rel=1e-5)
-    finer = np.linspace(0.0, math.pi, 2001)
-    refined = accumulated_phase(list(zip(finer, np.sin(finer))))
-    assert abs(refined + 2.0) == pytest.approx(abs(theta + 2.0) / 4, rel=1e-4)
-
-
-def test_phase_with_ramped_chirp_matches_quadrature() -> None:
-    times = np.linspace(0.0, 1.0, 2001)
-    detuning = np.exp(-times) * np.cos(3.0 * times)
-    expected = -np.trapezoid(detuning, times) if hasattr(np, "trapezoid") else -np.trapz(detuning, times)
-    assert accumulated_phase(list(zip(times, detuning))) == pytest.approx(
-        expected, abs=1e-15
-    )
-
-
-def test_phase_trajectory_validation() -> None:
-    with pytest.raises(ValueError):
-        accumulated_phase([(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        accumulated_phase([(0.0, 1.0), (0.0, 2.0)])
-    with pytest.raises(ValueError):
-        accumulated_phase([(0.0, 1.0), (-1.0, 2.0)])
-
-
 def test_global_phase_applies_uniformly() -> None:
     state = basis_state(BOSON, [mode(1, "a"), mode(2, "b")], 1 / RT2) + basis_state(
         BOSON, [mode(1, "b"), mode(2, "a")], 1 / RT2
     )
-    theta = accumulated_phase([(0.0, 0.75), (1.0, 0.75)])
-    rotated = state.scaled(cmath.exp(1j * theta))
+    rotated = state.scaled(cmath.exp(-0.75j))
     assert rotated.norm() == pytest.approx(1.0, abs=1e-12)
-    overlap = inner_product(state, rotated)
+    overlap = state.inner(rotated, 0j)
     assert overlap == pytest.approx(cmath.exp(-0.75j), abs=1e-12)
 
 
