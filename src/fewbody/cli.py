@@ -35,7 +35,6 @@ from .wavefunction_algebra import (
     assemble_state,
     build_position_family,
     full_overlap,
-    marginalize,
     project_out_symmetric_sum,
     spin_trace_pair,
 )
@@ -229,6 +228,13 @@ def _hom_input(statistics: str, convention: str, name: str) -> StateVector:
     return _two_particle(statistics, single[key])
 
 
+@functools.cache
+def _hom_input_summary(statistics: str, convention: str, name: str) -> tuple[str, float, float]:
+    """The named input's printed form, norm and bunching probability."""
+    state = _hom_input(statistics, convention, name)
+    return _format_state(state), state.norm(), _bunching_probability(state)
+
+
 def _frozen_outcome(
     statistics: str, convention: str, name: str, theta: float
 ) -> tuple[StateVector, float] | None:
@@ -328,6 +334,7 @@ def run_hom(config: ExperimentConfig) -> RunReport:
     statistics = config.statistics
     convention = config.convention
     state_in = _hom_input(statistics, convention, config.input)
+    text_in, norm_in, bunching_in = _hom_input_summary(statistics, convention, config.input)
     transform = beamsplitter(config.theta, convention)
     state_out = apply_mode_transform(state_in, transform)
 
@@ -345,7 +352,7 @@ def run_hom(config: ExperimentConfig) -> RunReport:
                 f"max amplitude deviation {residual:.3e}",
             )
         )
-    norm_drift = abs(state_out.norm() - state_in.norm())
+    norm_drift = abs(state_out.norm() - norm_in)
     assertions.append(
         AssertionResult("norm preserved", norm_drift <= 1e-12, f"drift {norm_drift:.3e}")
     )
@@ -356,12 +363,12 @@ def run_hom(config: ExperimentConfig) -> RunReport:
             ("statistics", statistics),
             ("convention", convention),
             ("theta", repr(config.theta)),
-            ("input", f"{config.input} = {_format_state(state_in)}"),
+            ("input", f"{config.input} = {text_in}"),
             ("output", _format_state(state_out)),
         ),
         assertions=tuple(assertions),
         summaries=(
-            ("bunching probability (input)", f"{_bunching_probability(state_in):.6f}"),
+            ("bunching probability (input)", f"{bunching_in:.6f}"),
             ("bunching probability (output)", f"{_bunching_probability(state_out):.6f}"),
         ),
     )

@@ -210,10 +210,14 @@ class ModeTransform:
     def image(self, mode: Mode) -> tuple[tuple[Mode, complex], ...]:
         """Linear combination replacing the creator for `mode`."""
         col = mode.site - 1
-        return (
-            (Mode(1, mode.spin), self.site_block[0][col]),
-            (Mode(2, mode.spin), self.site_block[1][col]),
-        )
+        site_1, site_2 = _site_modes(mode.spin)
+        return ((site_1, self.site_block[0][col]), (site_2, self.site_block[1][col]))
+
+
+@functools.cache
+def _site_modes(spin: str) -> tuple[Mode, Mode]:
+    """The modes of one internal label at sites 1 and 2, built once per label."""
+    return Mode(1, spin), Mode(2, spin)
 
 
 OPTICAL = "optical"

@@ -65,9 +65,6 @@ class SiteOrbital:
         gy = -(np.asarray(y, dtype=float) - cy) / self.width**2 * phi
         return phi, gx, gy
 
-    def gradient(self, x, y):
-        return self.value_and_gradient(x, y)[1:]
-
 
 def overlap(site_a: SiteOrbital, site_b: SiteOrbital) -> float:
     """Closed-form overlap of two equal-width Gaussian site orbitals."""

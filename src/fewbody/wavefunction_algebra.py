@@ -35,7 +35,6 @@ from .spin_algebra import (
 )
 from .symmetric_group import (
     Permutation,
-    Symmetrizer,
     YoungDiagram,
     apply_symmetrizer,
     build_symmetrizer,
@@ -83,13 +82,6 @@ class PositionWavefunction(SparseVector):
         return PositionWavefunction.from_dict(
             self.n, {p.apply_to_assignment(k): v for k, v in self.terms}
         )
-
-
-def position_inner_product(
-    a: PositionWavefunction, b: PositionWavefunction
-) -> SqrtRational:
-    """<a|b> under orbital orthonormality: assignments contract by Kronecker delta."""
-    return a.inner(b, ZERO)
 
 
 _STANDARD_TABLEAU = {3: ((1, 2), (3,)), 4: ((1, 2), (3, 4))}
@@ -182,7 +174,8 @@ def full_overlap(a: SpinPositionState, b: SpinPositionState) -> SqrtRational:
             s = spin_overlap(chi_a, chi_b)
             if s.is_zero():
                 continue
-            p = position_inner_product(phi_a, phi_b)
+            # orthonormal orbitals: assignments contract by Kronecker delta
+            p = phi_a.inner(phi_b, ZERO)
             if p.is_zero():
                 continue
             total = total + s.conjugate() * p

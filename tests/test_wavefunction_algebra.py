@@ -19,7 +19,6 @@ from fewbody.wavefunction_algebra import (
     evaluate_density,
     full_overlap,
     marginalize,
-    position_inner_product,
     project_out_symmetric_sum,
     spin_trace,
     spin_trace_pair,
@@ -89,9 +88,9 @@ def test_fully_repeated_assignment_vanishes_for_kind_0() -> None:
 def test_position_inner_product_contracts_by_assignment() -> None:
     family = build_position_family(3, 0, ("I", "II", "III"))
     member = family[2]
-    assert position_inner_product(member, member) == rational(4)
+    assert member.inner(member, ZERO) == rational(4)
     shifted = member.permuted(Permutation((2, 3, 1)))
-    assert position_inner_product(member, shifted) == -rational(2)
+    assert member.inner(shifted, ZERO) == -rational(2)
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])
