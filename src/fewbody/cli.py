@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -392,10 +392,67 @@ def _write_csv(grid: density_maps.DensityGrid, path: Path) -> None:
     else:
         row_format = "%r,%r\n" * ny
     rows = grid.values.astype(float, copy=False).reshape(nx, -1)
-    with path.open("w") as fh:
-        fh.write(header)
-        for row in rows:
-            fh.write(row_format % tuple(row.tolist()))
+    # one contiguous block of rows per usable CPU: a forked helper writes each
+    # block after the first into the part file <path>.<i> while this process
+    # writes the header and block 0; the parts are then appended in order
+    count = min(_usable_cpus(), nx)
+    bounds = [nx * i // count for i in range(count + 1)]
+    helpers: list[tuple[int, Path]] = []
+    try:
+        try:
+            for i in range(1, count):
+                part = path.with_name(f"{path.name}.{i}")
+                block = rows[bounds[i] : bounds[i + 1]]
+                pid = os.fork()
+                if pid == 0:
+                    _write_part_and_exit(part, block, row_format)
+                helpers.append((pid, part))
+            with path.open("w") as fh:
+                fh.write(header)
+                _write_rows(fh, rows[: bounds[1]], row_format)
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in helpers]
+        for (_, part), code in zip(helpers, codes):
+            if code != 0:
+                raise RuntimeError(f"writing {path}: the helper for {part.name} exited {code}")
+        with path.open("ab") as fh:
+            for _, part in helpers:
+                with part.open("rb") as written:
+                    shutil.copyfileobj(written, fh)
+    finally:
+        for _, part in helpers:
+            part.unlink(missing_ok=True)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork helpers."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_rows(fh, rows: np.ndarray, row_format: str) -> None:
+    for row in rows:
+        fh.write(row_format % tuple(row.tolist()))
+
+
+def _write_part_and_exit(part: Path, rows: np.ndarray, row_format: str) -> NoReturn:
+    """Body of a forked helper: write rows into part, then leave through
+    os._exit, so the helper never unwinds into its parent's stack (staged
+    directories, a tracer) or flushes the parent's buffered output.  It only
+    formats and writes: it calls no BLAS and takes no lock that a thread of
+    the parent (such as a BLAS pool) may have held at the fork."""
+    code = 1
+    try:
+        with part.open("w") as fh:
+            _write_rows(fh, rows, row_format)
+        code = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 def _grayscale(values: np.ndarray) -> np.ndarray:

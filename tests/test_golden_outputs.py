@@ -15,16 +15,23 @@ The maps on the 64x48 asymmetric grid were recorded before orbitals were
 evaluated on the open mesh (x of shape (nx, 1), y of shape (1, ny)).
 The `verify` stdout was recorded before the library API that no verb uses
 was cut from spin_algebra, symmetric_group and wavefunction_algebra.
+The odd balanced-square run is repeated in a CLI process pinned to one CPU,
+where each CSV is written in one block, and in one that writes each CSV in
+three blocks, two of them by forked helpers.
 Refactors that keep the output contract must keep these green.
 """
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fewbody
 from fewbody import density_maps, orbitals
 from fewbody.cli import ExperimentConfig, main, run_hom
 
@@ -237,11 +244,46 @@ def test_density_outputs_are_byte_identical(
     monkeypatch.delenv("FEWBODY_OUTPUT_DIR", raising=False)
     assert main(argv) == 0
     assert capsys.readouterr().out == stdout
+    assert _written(tmp_path / "out") == files
+
+
+def _written(out_dir: Path) -> dict[str, tuple[int, str]]:
     written = {}
-    for path in sorted((tmp_path / "out").iterdir()):
+    for path in sorted(out_dir.iterdir()):
         data = path.read_bytes()
         written[path.name] = (len(data), hashlib.sha256(data).hexdigest())
-    assert written == files
+    return written
+
+
+def _pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+# a CLI process that writes each CSV in three blocks, two of them by helpers
+THREE_BLOCKS = (
+    "import sys, fewbody.cli as cli; cli._usable_cpus = lambda: 3; sys.exit(cli.main())"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("blocks", ["one-cpu", "three-blocks"])
+def test_density_process_writes_the_same_bytes(blocks: str, tmp_path: Path) -> None:
+    # one CPU: the CLI process writes every CSV alone; three blocks: forked
+    # helpers write two of them and must add nothing to stdout or stderr
+    path = [str(Path(fewbody.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    env.pop("FEWBODY_OUTPUT_DIR", None)
+    if blocks == "one-cpu":
+        argv, pin = ["-m", "fewbody.cli"], _pin_to_one_cpu
+    else:
+        argv, pin = ["-c", THREE_BLOCKS], None
+    run = subprocess.run(
+        [sys.executable, *argv, *SQUARE_17_ARGS],
+        cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=pin,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == SQUARE_17_STDOUT
+    assert _written(tmp_path / "out") == SQUARE_17_FILES
 
 
 # sha256 of the float64 bytes of every map at 33x33, by geometry
