@@ -187,45 +187,82 @@ class RunReport:
 
 RT2 = 1.0 / math.sqrt(2.0)
 
+#: alternative input names -> the canonical name of the same state
+HOM_ALIASES = {
+    "triplet0": "HV-sym",
+    "singlet": "HV-antisym",
+    "aa": "HH",
+    "bb": "VV",
+    "ab-sym": "HV-sym",
+    "ab-antisym": "HV-antisym",
+}
 
-def _two_particle(statistics: str, terms) -> StateVector:
+#: canonical input -> (amplitude, ((site, "up" | "down"), ...)) terms
+HOM_INPUTS = {
+    "HH": ((1.0, ((1, "up"), (2, "up"))),),
+    "VV": ((1.0, ((1, "down"), (2, "down"))),),
+    "HV-sym": ((RT2, ((1, "up"), (2, "down"))), (RT2, ((1, "down"), (2, "up")))),
+    "HV-antisym": ((RT2, ((1, "up"), (2, "down"))), (-RT2, ((1, "down"), (2, "up")))),
+}
+
+#: (convention, statistics, canonical input) -> the frozen splitter outcome:
+#: a factor on the input, which is then an eigenstate of the splitter at any
+#: angle, or the output terms of the balanced splitter
+HOM_OUTCOMES = {
+    ("optical", "boson", "HH"): ((0.5, ((1, "up"), (1, "up"))), (-0.5, ((2, "up"), (2, "up")))),
+    ("optical", "boson", "VV"): (
+        (0.5, ((1, "down"), (1, "down"))),
+        (-0.5, ((2, "down"), (2, "down"))),
+    ),
+    ("optical", "boson", "HV-sym"): (
+        (RT2, ((1, "up"), (1, "down"))),
+        (-RT2, ((2, "up"), (2, "down"))),
+    ),
+    ("optical", "boson", "HV-antisym"): -1.0,
+    ("optical", "fermion", "HH"): -1.0,
+    ("optical", "fermion", "VV"): -1.0,
+    ("optical", "fermion", "HV-sym"): -1.0,
+    ("optical", "fermion", "HV-antisym"): (
+        (RT2, ((1, "up"), (1, "down"))),
+        (-RT2, ((2, "up"), (2, "down"))),
+    ),
+    ("atomic", "boson", "HH"): (
+        (-0.5j, ((1, "up"), (1, "up"))),
+        (-0.5j, ((2, "up"), (2, "up"))),
+    ),
+    ("atomic", "boson", "HV-sym"): (
+        (-1j * RT2, ((1, "up"), (1, "down"))),
+        (-1j * RT2, ((2, "up"), (2, "down"))),
+    ),
+    ("atomic", "boson", "HV-antisym"): 1.0,
+}
+
+
+def _two_particle(statistics: str, convention: str, terms) -> StateVector:
+    if convention == "atomic":
+        spins = {"up": "a", "down": "b"}
+    elif statistics == "fermion":
+        spins = {"up": "H", "down": HBAR_LABEL}
+    else:
+        spins = {"up": "H", "down": "V"}
     state = StateVector.zero(statistics)
     for amp, modes in terms:
         state = state + fock_engine.basis_state(
-            statistics, [Mode(site, spin) for site, spin in modes], amp
+            statistics, [Mode(site, spins[spin]) for site, spin in modes], amp
         )
     return state
 
 
+def _canonical_input(name: str) -> str:
+    key = HOM_ALIASES.get(name, name)
+    if key not in HOM_INPUTS:
+        raise ValueError(f"unknown input state {name!r}")
+    return key
+
+
 @functools.cache  # a shared StateVector is safe: it is frozen
 def _hom_input(statistics: str, convention: str, name: str) -> StateVector:
-    spin_up, spin_dn = ("a", "b") if convention == "atomic" else ("H", "V")
-    if statistics == "fermion" and convention == "optical":
-        spin_up, spin_dn = "H", HBAR_LABEL
-    single = {
-        "HH": [(1.0, [(1, spin_up), (2, spin_up)])],
-        "VV": [(1.0, [(1, spin_dn), (2, spin_dn)])],
-        "HV-sym": [
-            (RT2, [(1, spin_up), (2, spin_dn)]),
-            (RT2, [(1, spin_dn), (2, spin_up)]),
-        ],
-        "HV-antisym": [
-            (RT2, [(1, spin_up), (2, spin_dn)]),
-            (-RT2, [(1, spin_dn), (2, spin_up)]),
-        ],
-    }
-    aliases = {
-        "aa": "HH",
-        "bb": "VV",
-        "ab-sym": "HV-sym",
-        "triplet0": "HV-sym",
-        "ab-antisym": "HV-antisym",
-        "singlet": "HV-antisym",
-    }
-    key = aliases.get(name, name)
-    if key not in single:
-        raise ValueError(f"unknown input state {name!r}")
-    return _two_particle(statistics, single[key])
+    return _two_particle(statistics, convention, HOM_INPUTS[_canonical_input(name)])
 
 
 @functools.cache
@@ -244,70 +281,13 @@ def _frozen_outcome(
     mixing angle; the remaining cases need the balanced splitter, so a
     slightly off angle widens the tolerance proportionally.
     """
+    outcome = HOM_OUTCOMES.get((convention, statistics, _canonical_input(name)))
+    if isinstance(outcome, float):
+        return _hom_input(statistics, convention, name).scaled(outcome), 1e-12
     off_balance = abs(theta - math.pi / 4)
-    balanced = off_balance <= 1e-9
-    tight = 1e-12
-    loose = 1e-12 + 4.0 * off_balance
-    if convention == "optical":
-        if statistics == "boson":
-            if name in ("HH", "VV") and balanced:
-                spin = "H" if name == "HH" else "V"
-                return (
-                    _two_particle(
-                        "boson",
-                        [(0.5, [(1, spin), (1, spin)]), (-0.5, [(2, spin), (2, spin)])],
-                    ),
-                    loose,
-                )
-            if name == "HV-sym" and balanced:
-                return (
-                    _two_particle(
-                        "boson",
-                        [(RT2, [(1, "H"), (1, "V")]), (-RT2, [(2, "H"), (2, "V")])],
-                    ),
-                    loose,
-                )
-            if name in ("HV-antisym", "singlet"):
-                return _hom_input("boson", convention, "HV-antisym").scaled(-1.0), tight
-        if statistics == "fermion":
-            if name in ("HH", "VV"):
-                return _hom_input("fermion", convention, name).scaled(-1.0), tight
-            if name in ("HV-sym", "triplet0"):
-                return _hom_input("fermion", convention, "HV-sym").scaled(-1.0), tight
-            if name in ("HV-antisym", "singlet") and balanced:
-                return (
-                    _two_particle(
-                        "fermion",
-                        [
-                            (RT2, [(1, "H"), (1, HBAR_LABEL)]),
-                            (-RT2, [(2, "H"), (2, HBAR_LABEL)]),
-                        ],
-                    ),
-                    loose,
-                )
-    if convention == "atomic" and statistics == "boson":
-        if name in ("HH", "aa") and balanced:
-            return (
-                _two_particle(
-                    "boson",
-                    [(-0.5j, [(1, "a"), (1, "a")]), (-0.5j, [(2, "a"), (2, "a")])],
-                ),
-                loose,
-            )
-        if name in ("HV-sym", "ab-sym") and balanced:
-            return (
-                _two_particle(
-                    "boson",
-                    [
-                        (-1j * RT2, [(1, "a"), (1, "b")]),
-                        (-1j * RT2, [(2, "a"), (2, "b")]),
-                    ],
-                ),
-                loose,
-            )
-        if name in ("HV-antisym", "ab-antisym", "singlet"):
-            return _hom_input("boson", convention, "HV-antisym"), tight
-    return None
+    if outcome is None or off_balance > 1e-9:
+        return None
+    return _two_particle(statistics, convention, outcome), 1e-12 + 4.0 * off_balance
 
 
 def _format_state(state: StateVector) -> str:
@@ -497,19 +477,16 @@ def _write_ppm(
     path.write_bytes(header + rgb.tobytes())
 
 
-def _geometry_mos(config: ExperimentConfig) -> dict[str, orbitals.MolecularOrbital]:
-    if config.geometry == "triangle":
-        return orbitals.triangle_mos(config.a, config.h)
-    if config.geometry == "rectangle":
-        return orbitals.rectangle_mos(config.a, config.b)
-    raise ValueError(f"unknown geometry {config.geometry!r}")
-
-
 def _density_inputs(
     config: ExperimentConfig,
 ) -> tuple[dict[str, orbitals.MolecularOrbital], density_maps.GridSpec]:
     """The orbitals and grid of a density run; ValueError on an invalid input."""
-    mos = _geometry_mos(config)
+    if config.geometry == "triangle":
+        mos = orbitals.triangle_mos(config.a, config.h)
+    elif config.geometry == "rectangle":
+        mos = orbitals.rectangle_mos(config.a, config.b)
+    else:
+        raise ValueError(f"unknown geometry {config.geometry!r}")
     if (config.geometry, config.particles) not in (("triangle", 3), ("rectangle", 4)):
         raise ValueError("triangle carries 3 particles, rectangle 4")
     if config.statistics not in ("fermion", "boson"):
@@ -622,8 +599,8 @@ def run_density(config: ExperimentConfig) -> RunReport:
         if config.c2_magnitude != 0.0:
             label = "boson and fermion densities agree at balance"
             try:
-                residual = _balance_residual(config)
-            except _ZeroNormSuperposition as exc:
+                residual = _balance_residual(config, mos)
+            except density_maps.ZeroNormSuperposition as exc:
                 assertions.append(
                     AssertionResult(
                         label,
@@ -675,56 +652,17 @@ def _dimensions_text(config: ExperimentConfig) -> str:
     return f"a={config.a:g} b={config.b:g}"
 
 
-class _ZeroNormSuperposition(ArithmeticError):
-    """C1 Psi1 + C1* Psi2 vanishes: the two branches lie on one ray."""
-
-    def __init__(self, statistics: str):
-        super().__init__(f"zero-norm superposition ({statistics})")
-        self.statistics = statistics
-
-
-def _balance_residual(config: ExperimentConfig) -> float:
-    """Max deviation between fermion and boson full densities at C1=C2*.
-
-    Densities are normalised to unit total weight before comparison, so the
-    check is insensitive to the overall norm of the superposed state.
-    Raises _ZeroNormSuperposition when that weight vanishes, which happens
-    at the ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.
-    """
-    from .wavefunction_algebra import (
-        Superposition,
-        evaluate_density,
-        full_overlap,
-        spin_trace,
-    )
-
+def _balance_residual(
+    config: ExperimentConfig, mos: dict[str, orbitals.MolecularOrbital]
+) -> float:
+    """density_maps.balance_residual of the run's orbitals at C1 = config.c1(),
+    over six configurations drawn with seed 1."""
     n = config.particles
-    mos = _geometry_mos(config)
-    c1 = config.c1()
-    c2 = c1.conjugate()
     rng = np.random.default_rng(1)
     configurations = [
         [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)] for _ in range(6)
     ]
-    evaluator = {label: mo.evaluate for label, mo in mos.items()}
-    densities = {}
-    for statistics in ("fermion", "boson"):
-        psi1 = assemble_state(n, "low", statistics)
-        psi2 = assemble_state(n, "high", statistics)
-        kernel = spin_trace(Superposition(c1, psi1, c2, psi2))
-        cross = complex(full_overlap(psi1, psi2))
-        weight = abs(c1) ** 2 + abs(c2) ** 2 + 2.0 * (c1 * c2.conjugate() * cross).real
-        if weight == 0.0:
-            raise _ZeroNormSuperposition(statistics)
-        densities[statistics] = (kernel, weight)
-    worst = 0.0
-    for points in configurations:
-        results = {
-            statistics: complex(evaluate_density(kernel, evaluator, points)) / weight
-            for statistics, (kernel, weight) in densities.items()
-        }
-        worst = max(worst, abs(results["fermion"] - results["boson"]))
-    return worst
+    return density_maps.balance_residual(n, mos, config.c1(), configurations)
 
 
 # -- verify ------------------------------------------------------------
@@ -889,10 +827,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hom = sub.add_parser("hom", help="two-particle splitter interference")
     common(hom)
     hom.add_argument("--statistics", choices=("boson", "fermion"))
-    hom.add_argument(
-        "--input",
-        help="HH, VV, HV-sym, HV-antisym, triplet0, singlet, aa, bb, ab-sym, ab-antisym",
-    )
+    hom.add_argument("--input", help=", ".join([*HOM_INPUTS, *HOM_ALIASES]))
     hom.add_argument("--convention", choices=("optical", "atomic"))
     hom.add_argument("--theta", type=float)
 

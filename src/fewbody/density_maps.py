@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .orbitals import MolecularOrbital, evaluate_orbitals
 from .wavefunction_algebra import (
     ReducedDensity,
+    Superposition,
     assemble_state,
     evaluate_density,
+    full_overlap,
     marginalize,
+    spin_trace,
     spin_trace_pair,
 )
 
@@ -84,7 +87,6 @@ class DensityGrid:
 
     spec: GridSpec
     values: np.ndarray
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         nx, ny = self.spec.resolution
@@ -125,7 +127,7 @@ def single_density(
         for v in evaluate_orbitals((mos["g"], mos["e"]), *spec.open_mesh())
     )
     values = wg * g * g + we * e * e
-    return DensityGrid(spec, values, {"quantity": f"single_density_n{n}"})
+    return DensityGrid(spec, values)
 
 
 def ground_pair_kernel(
@@ -198,7 +200,7 @@ def conditional_density(
     """Density of one particle given another fixed at r0.
 
     The slice pair(r, r0) is normalized to unit integral over the
-    plotted grid; the marginal weight at r0 is kept in the metadata.
+    plotted grid.
     """
     spec = spec or GridSpec()
     slice_values = np.asarray(kernel(_every_cell(kernel, spec), r0), dtype=float)
@@ -207,17 +209,51 @@ def conditional_density(
         raise VanishingMarginalError(
             f"conditioning point ({r0[0]:g}, {r0[1]:g}) has vanishing marginal density"
         )
-    values = slice_values / marginal
-    return DensityGrid(
-        spec,
-        values,
-        {
-            "quantity": "conditional_density",
-            "conditioning_point": f"{r0[0]:.6g} {r0[1]:.6g}",
-            "normalization": "unit integral over plotted grid",
-            "marginal_weight": f"{marginal:.12g}",
-        },
-    )
+    return DensityGrid(spec, slice_values / marginal)
+
+
+class ZeroNormSuperposition(ArithmeticError):
+    """C1 Psi1 + C1* Psi2 vanishes: the two branches lie on one ray."""
+
+    def __init__(self, statistics: str):
+        super().__init__(f"zero-norm superposition ({statistics})")
+        self.statistics = statistics
+
+
+def balance_residual(
+    n: int,
+    mos: Mapping[str, MolecularOrbital],
+    c1: complex,
+    configurations: Sequence[Sequence[Point]],
+) -> float:
+    """Max deviation between fermion and boson full densities at C2 = C1*.
+
+    Each configuration holds one point per particle.  Densities are
+    normalised to unit total weight before comparison, so the check is
+    insensitive to the overall norm of the superposed state.  Raises
+    ZeroNormSuperposition when that weight vanishes, which happens at the
+    ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.
+    """
+    c2 = c1.conjugate()
+    evaluator = {label: mo.evaluate for label, mo in mos.items()}
+    densities = {}
+    for statistics in ("fermion", "boson"):
+        psi1 = assemble_state(n, "low", statistics)
+        psi2 = assemble_state(n, "high", statistics)
+        kernel = spin_trace(Superposition(c1, psi1, c2, psi2))
+        cross = complex(full_overlap(psi1, psi2))
+        weight = abs(c1) ** 2 + abs(c2) ** 2 + 2.0 * (c1 * c2.conjugate() * cross).real
+        if weight == 0.0:
+            raise ZeroNormSuperposition(statistics)
+        densities[statistics] = (kernel, weight)
+    worst = 0.0
+    for points in configurations:
+        results = {
+            statistics: complex(evaluate_density(kernel, evaluator, points)) / weight
+            for statistics, (kernel, weight) in densities.items()
+        }
+        worst = max(worst, abs(results["fermion"] - results["boson"]))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -281,7 +317,7 @@ def probability_flux(mo: MolecularOrbital, spec: GridSpec | None = None) -> Dens
     np.multiply(phi, gx, out=gx)
     np.multiply(phi, gy, out=gy)
     values = np.stack([gx.imag, gy.imag], axis=-1)
-    return DensityGrid(spec, values, {"quantity": f"flux_{mo.label}"})
+    return DensityGrid(spec, values)
 
 
 def local_maxima(grid: DensityGrid) -> list[Point]:

@@ -29,8 +29,8 @@ from .sparse import SparseVector
 from .spin_algebra import (
     UP,
     SpinState,
-    coupled_state_3,
-    coupled_state_4,
+    family_3,
+    family_4,
     spin_overlap,
 )
 from .symmetric_group import (
@@ -223,9 +223,9 @@ def _assemble_state(
     spin_kind = 0 if coupling == "low" else 1
     position_kind = spin_kind if statistics == "fermion" else 1 - spin_kind
     if n == 3:
-        spins = [coupled_state_3(i, s_pair, m) for i in (1, 2, 3)]
+        spins = family_3(s_pair, m)
     elif n == 4:
-        spins = [coupled_state_4(i, s_pair) for i in (1, 2, 3)]
+        spins = family_4(s_pair)
     else:
         raise ValueError(f"n = {n} not in {{3, 4}}")
     positions = build_position_family(n, position_kind, orbital_assignment)

@@ -25,12 +25,10 @@ from fewbody.spin_algebra import (
 )
 from fewbody.wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
-    Superposition,
     assemble_state,
     evaluate_density,
     full_overlap,
     marginalize,
-    spin_trace,
     spin_trace_pair,
 )
 from fewbody.fock_engine import (
@@ -57,6 +55,7 @@ from fewbody.orbitals import (
 from fewbody.density_maps import (
     GridSpec,
     antibunching_check,
+    balance_residual,
     conditional_density,
     discrete_divergence,
     local_maxima,
@@ -388,27 +387,13 @@ def test_11_statistics_agree_at_balance() -> None:
     """With conjugate mixing amplitudes the trace-normalized fermionic and
     bosonic full densities coincide."""
     c1 = cmath.rect(1.0 / RT2, math.pi / 8)
-    c2 = c1.conjugate()
     rng = np.random.default_rng(9)
     worst = 0.0
     for n, mos in ((3, triangle_mos(*TRIANGLE)), (4, rectangle_mos(*RECTANGLE))):
-        evaluator = {label: mo.evaluate for label, mo in mos.items()}
-        for _ in range(5):
-            points = [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)]
-            values = {}
-            for statistics in ("fermion", "boson"):
-                psi1 = assemble_state(n, "low", statistics)
-                psi2 = assemble_state(n, "high", statistics)
-                kernel = spin_trace(Superposition(c1, psi1, c2, psi2))
-                cross = complex(full_overlap(psi1, psi2))
-                weight = (
-                    abs(c1) ** 2
-                    + abs(c2) ** 2
-                    + 2.0 * (c1 * c2.conjugate() * cross).real
-                )
-                value = evaluate_density(kernel, evaluator, points)
-                values[statistics] = complex(value) / weight
-            worst = max(worst, abs(values["fermion"] - values["boson"]))
+        configurations = [
+            [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)] for _ in range(5)
+        ]
+        worst = max(worst, balance_residual(n, mos, c1, configurations))
     print(f"criterion 11: worst fermion/boson density gap at balance {worst:.2e}")
     assert worst <= 1e-10
 

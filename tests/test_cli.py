@@ -164,6 +164,38 @@ def test_hom_input_aliases_name_equal_states() -> None:
                 )
 
 
+@pytest.mark.parametrize(
+    "alias, name",
+    [
+        ("singlet", "HV-antisym"),
+        ("ab-antisym", "HV-antisym"),
+        ("ab-sym", "HV-sym"),
+        ("triplet0", "HV-sym"),
+        ("aa", "HH"),
+        ("bb", "VV"),
+    ],
+)
+def test_hom_alias_report_is_its_canonical_inputs_report(alias: str, name: str) -> None:
+    # an alias gets its canonical input's reference check; only the name differs
+    for statistics in ("boson", "fermion"):
+        for convention in ("optical", "atomic"):
+            for theta in (math.pi / 4, 0.9):
+                reports = [
+                    cli.run_hom(
+                        ExperimentConfig(
+                            statistics=statistics, convention=convention, input=n, theta=theta
+                        )
+                    ).render()
+                    for n in (alias, name)
+                ]
+                renamed = (
+                    reports[0]
+                    .replace(f"   input: {alias} = ", f"   input: {name} = ")
+                    .replace(f"reference outcome for {alias}  ", f"reference outcome for {name}  ")
+                )
+                assert renamed == reports[1], (statistics, convention, theta)
+
+
 def test_unknown_hom_input_raises_on_every_call() -> None:
     for _ in range(3):
         with pytest.raises(ValueError, match="unknown input state 'XX'"):
