@@ -52,7 +52,6 @@ class ExperimentConfig:
     h: float = 2.5
     b: float = 2.5
     particles: int = 3
-    coupling: str = "low"
     statistics: str = "fermion"
     c1_magnitude: float = 1.0
     c1_phase: float = 0.0
@@ -850,6 +849,9 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, not {value!r}")
+    points = config.conditioning_points
+    if not all(math.isfinite(x) for point in points for x in point):
+        raise ValueError(f"conditioning_points must be finite, not {points!r}")
     if verb == "hom":
         _hom_input(config.statistics, config.convention, config.input)
         beamsplitter(config.theta, config.convention)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .sparse import SparseVector
 
 BOSON = "boson"
@@ -194,19 +192,6 @@ class ModeTransform:
                 if not abs(g - delta) <= 1e-12 + 1e-5 * delta:
                     raise ValueError("site block is not unitary")
 
-    @staticmethod
-    def from_matrix(matrix) -> "ModeTransform":
-        arr = np.asarray(matrix, dtype=complex)
-        if arr.shape != (2, 2):
-            raise ValueError("site block must be 2x2")
-        return ModeTransform(
-            ((complex(arr[0, 0]), complex(arr[0, 1])),
-             (complex(arr[1, 0]), complex(arr[1, 1]))),
-        )
-
-    def matrix(self) -> np.ndarray:
-        return np.array(self.site_block, dtype=complex)
-
     def image(self, mode: Mode) -> tuple[tuple[Mode, complex], ...]:
         """Linear combination replacing the creator for `mode`."""
         col = mode.site - 1
@@ -234,9 +219,9 @@ def beamsplitter(theta: float = math.pi / 4, convention: str = OPTICAL) -> ModeT
     """
     c, s = math.cos(theta), math.sin(theta)
     if convention == OPTICAL:
-        return ModeTransform.from_matrix([[c, s], [s, -c]])
+        return ModeTransform(((complex(c), complex(s)), (complex(s), complex(-c))))
     if convention == ATOMIC:
-        return ModeTransform.from_matrix([[c, -1j * s], [-1j * s, c]])
+        return ModeTransform(((complex(c), -1j * s), (-1j * s, complex(c))))
     raise ValueError(f"unknown beamsplitter convention {convention!r}")
 
 

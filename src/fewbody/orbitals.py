@@ -15,13 +15,13 @@ peak per site in the one-particle maps of the tabulated geometries.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 GRAM_TOLERANCE = 1e-10
+_TOO_CLOSE = "sites too close for an orthonormal orbital set"
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,16 @@ class SiteOrbital:
         exp and scale then work in place on it.  Augmented `**= 2` keeps
         numpy's choices: it squares an array and calls pow on a scalar, as
         `** 2` does.  (-r2) / k and r2 / (-k) round alike, since IEEE
-        division is sign-symmetric.
+        division is sign-symmetric.  Far from the site r^2 overflows to inf,
+        and exp(-inf) = 0 is the right value, so that overflow is not reported.
         """
         cx, cy = self.center
-        dx = np.subtract(x, cx, dtype=float)
-        dx **= 2
-        dy = np.subtract(y, cy, dtype=float)
-        dy **= 2
-        phi = dx + dy
+        with np.errstate(over="ignore"):
+            dx = np.subtract(x, cx, dtype=float)
+            dx **= 2
+            dy = np.subtract(y, cy, dtype=float)
+            dy **= 2
+            phi = dx + dy
         phi /= -(2.0 * self.width**2)
         phi = np.exp(phi, out=phi if isinstance(phi, np.ndarray) else None)
         phi /= self.width * math.sqrt(math.pi)
@@ -226,32 +228,19 @@ def mo_gram(mos: Mapping[str, MolecularOrbital]) -> np.ndarray:
     return np.real_if_close(c.conj() @ s @ c.T)
 
 
-def _orthonormalized_if_needed(
+def _checked_orthonormal(
     mos: dict[str, MolecularOrbital]
 ) -> dict[str, MolecularOrbital]:
-    """Fallback Loewdin orthonormalization, reported when it activates.
+    """The set unchanged, or ValueError if it misses the Gram bound.
 
-    The coefficient choices are expected to make the set orthonormal on
-    their own; this guard only corrects (audibly) if they did not.
+    Sites much closer than a trap width make the overlap matrix nearly
+    singular, and the closed-form coefficients then lose orthonormality to
+    rounding; no such set is repaired.  `not <=` also rejects a NaN.
     """
-    gram = mo_gram(mos)
-    if np.max(np.abs(gram - np.eye(len(mos)))) <= GRAM_TOLERANCE:
-        return mos
-    warnings.warn(
-        "molecular-orbital set failed the orthonormality check; "
-        "applying symmetric orthonormalization",
-        stacklevel=3,
-    )
-    labels = list(mos)
-    geometry = mos[labels[0]].geometry
-    c = np.array([mos[label].coefficients for label in labels], dtype=complex)
-    vals, vecs = np.linalg.eigh(gram)
-    inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-    fixed = inv_sqrt @ c
-    return {
-        label: MolecularOrbital.normalized(label, geometry, fixed[i])
-        for i, label in enumerate(labels)
-    }
+    deviation = np.max(np.abs(mo_gram(mos) - np.eye(len(mos))))
+    if not deviation <= GRAM_TOLERANCE:
+        raise ValueError(_TOO_CLOSE)
+    return mos
 
 
 def triangle_mos(a: float, h: float, width: float = 1.0) -> dict[str, MolecularOrbital]:
@@ -265,6 +254,8 @@ def triangle_mos(a: float, h: float, width: float = 1.0) -> dict[str, MolecularO
     s_ab = overlap(geometry.site("A"), geometry.site("B"))
     s_ac = overlap(geometry.site("A"), geometry.site("C"))
     s_bc = overlap(geometry.site("B"), geometry.site("C"))
+    if 1.0 - s_bc <= 0:
+        raise ValueError(_TOO_CLOSE)
     q = 1.0 / math.sqrt(3.0 + 2.0 * s_ab + 2.0 * s_bc + 2.0 * s_ac)
     p = 1.0 / math.sqrt(2.0 * (1.0 - s_bc))
     f = (2.0 * (1.0 + s_bc) + s_ab + s_ac) / (1.0 + s_ab + s_ac)
@@ -273,7 +264,7 @@ def triangle_mos(a: float, h: float, width: float = 1.0) -> dict[str, MolecularO
         "e": MolecularOrbital.normalized("e", geometry, (q * f, -q, -q)),
         "e'": MolecularOrbital("e'", geometry, (0.0, p, -p)),
     }
-    return _orthonormalized_if_needed(mos)
+    return _checked_orthonormal(mos)
 
 
 _RECTANGLE_PATTERNS = {
@@ -296,7 +287,7 @@ def rectangle_mos(a: float, b: float, width: float = 1.0) -> dict[str, Molecular
         label: MolecularOrbital.normalized(label, geometry, pattern)
         for label, pattern in _RECTANGLE_PATTERNS.items()
     }
-    return _orthonormalized_if_needed(mos)
+    return _checked_orthonormal(mos)
 
 
 def degenerate_superpositions(

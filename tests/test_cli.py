@@ -506,13 +506,22 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["hom", "--input", "XX"],
         ["density", "--name", "a/b"],
         ["density", "--name", "../x"],
+        ["density", "--a", "1e-9"],
+        ["density", "--geometry", "rectangle", "--a", "0.05", "--b", "0.05"],
+        ["density", "--geometry", "rectangle", "--a", "0.01", "--b", "0.01"],
+        ["density", "--set", "conditioning_points=nan,0"],
+        ["density", "--set", "coupling=high"],
     ],
-    ids=["nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent"],
+    ids=[
+        "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
+        "triangle-a=1e-9", "square-0.05", "square-0.01", "nan-conditioning-point", "coupling",
+    ],
 )
-def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys) -> None:
+def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
     out = tmp_path / "out"
     _assert_invalid_input(main([*argv, "--output-dir", str(out)]), capsys, out)
     assert list(tmp_path.iterdir()) == []
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_far_conditioning_point_exits_2_before_writing(tmp_path: Path, capsys) -> None:

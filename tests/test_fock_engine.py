@@ -1,11 +1,16 @@
 """Second-quantized mode algebra and the frozen beamsplitter outcomes."""
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fewbody
 from fewbody.fock_engine import (
     ATOMIC,
     BOSON,
@@ -28,6 +33,21 @@ RT2 = math.sqrt(2.0)
 
 def mode(site: int, spin: str) -> Mode:
     return Mode(site, spin)
+
+
+def transform_from_matrix(matrix) -> ModeTransform:
+    """The transform of a 2x2 array-like block, read through a complex array."""
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.shape != (2, 2):
+        raise ValueError("site block must be 2x2")
+    return ModeTransform(
+        ((complex(arr[0, 0]), complex(arr[0, 1])),
+         (complex(arr[1, 0]), complex(arr[1, 1]))),
+    )
+
+
+def transform_matrix(transform: ModeTransform) -> np.ndarray:
+    return np.array(transform.site_block, dtype=complex)
 
 
 def amplitude_distance(a: StateVector, b: StateVector) -> float:
@@ -233,17 +253,40 @@ def test_annihilate_is_adjoint_of_create() -> None:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def _bits(block) -> tuple:
+    """Each entry's real and imaginary parts, signed zeros told apart."""
+    return tuple(float.hex(part) for row in block for z in row for part in (z.real, z.imag))
+
+
 def test_beamsplitter_matrices() -> None:
-    theta = 0.37
-    c, s = math.cos(theta), math.sin(theta)
-    np.testing.assert_allclose(
-        beamsplitter(theta).matrix(), [[c, s], [s, -c]], atol=1e-15
-    )
-    np.testing.assert_allclose(
-        beamsplitter(theta, ATOMIC).matrix(), [[c, -1j * s], [-1j * s, c]], atol=1e-15
-    )
+    # the blocks equal, bit for bit, those built through a complex array
+    for k in range(-400, 401):
+        theta = k * 0.0137
+        c, s = math.cos(theta), math.sin(theta)
+        for convention, matrix in (
+            (OPTICAL, [[c, s], [s, -c]]),
+            (ATOMIC, [[c, -1j * s], [-1j * s, c]]),
+        ):
+            assert _bits(beamsplitter(theta, convention).site_block) == _bits(
+                transform_from_matrix(matrix).site_block
+            ), (theta, convention)
     with pytest.raises(ValueError):
         beamsplitter(0.5, "acoustic")
+
+
+def test_exact_layer_and_fock_engine_import_without_numpy() -> None:
+    modules = ["exact", "sparse", "spin_algebra", "symmetric_group", "fock_engine"]
+    code = (
+        "import sys\n"
+        + "".join(f"import fewbody.{name}\n" for name in modules)
+        + "print('numpy' in sys.modules)"
+    )
+    path = [str(Path(fewbody.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "False\n")
 
 
 def test_transform_requires_unitary_block() -> None:
@@ -260,17 +303,17 @@ def test_transform_requires_unitary_block() -> None:
     ]
     for block in rejected:
         with pytest.raises(ValueError):
-            ModeTransform.from_matrix(block)
+            transform_from_matrix(block)
     for theta in (0.0, math.pi / 4, math.pi / 2):
         for convention in (OPTICAL, ATOMIC):
             beamsplitter(theta, convention)
     # the bound is np.allclose(U U†, 1, atol=1e-12): 1e-12 off the
     # diagonal, 1e-12 + 1e-5 on it
-    ModeTransform.from_matrix([[1.0, 1e-13], [0.0, 1.0]])
-    ModeTransform.from_matrix([[1.0, 0.0], [-1e-13j, 1.0]])
-    ModeTransform.from_matrix([[1.0 + 1e-13, 0.0], [0.0, 1.0]])
-    ModeTransform.from_matrix([[1.0 + 4e-6, 0.0], [0.0, 1.0]])
-    ModeTransform.from_matrix([[1.0, 0.0], [0.0, 1j]])
+    transform_from_matrix([[1.0, 1e-13], [0.0, 1.0]])
+    transform_from_matrix([[1.0, 0.0], [-1e-13j, 1.0]])
+    transform_from_matrix([[1.0 + 1e-13, 0.0], [0.0, 1.0]])
+    transform_from_matrix([[1.0 + 4e-6, 0.0], [0.0, 1.0]])
+    transform_from_matrix([[1.0, 0.0], [0.0, 1j]])
 
 
 def test_compose_matches_sequential_application() -> None:
@@ -279,14 +322,14 @@ def test_compose_matches_sequential_application() -> None:
     state = basis_state(BOSON, [mode(1, "a"), mode(2, "a"), mode(2, "a")], 0.8j)
     chained = apply_mode_transform(apply_mode_transform(state, first), second)
     fused = apply_mode_transform(
-        state, ModeTransform.from_matrix(second.matrix() @ first.matrix())
+        state, transform_from_matrix(transform_matrix(second) @ transform_matrix(first))
     )
     assert amplitude_distance(chained, fused) <= 1e-12
 
 
 def test_inverse_transform_restores_the_state() -> None:
     transform = beamsplitter(0.81, ATOMIC)
-    inverse = ModeTransform.from_matrix(transform.matrix().conj().T)
+    inverse = transform_from_matrix(transform_matrix(transform).conj().T)
     state = basis_state(BOSON, [mode(1, "a"), mode(2, "b")], 0.6) + basis_state(
         BOSON, [mode(2, "a"), mode(2, "b")], 0.8j
     )
@@ -499,7 +542,7 @@ def test_splitter_matches_the_state_vector_algebra_bit_for_bit() -> None:
                 # inside the unitarity bound, with coefficients up to
                 # 1 + 4e-6: a term just under 1e-13 that is not pruned
                 # when it is created grows past the bound when scaled
-                stretched = ModeTransform.from_matrix(exact.matrix() * (1 + 4e-6))
+                stretched = transform_from_matrix(transform_matrix(exact) * (1 + 4e-6))
                 for transform in (exact, stretched):
                     for state in inputs:
                         assert amplitude_bits(

@@ -17,7 +17,6 @@ from fewbody.orbitals import (
     rectangle_mos,
     triangle_mos,
 )
-from fewbody.orbitals import _orthonormalized_if_needed
 
 
 def quadrature_overlap(a: SiteOrbital, b: SiteOrbital, extent: float = 12.0) -> float:
@@ -205,15 +204,20 @@ def test_complex_square_state_has_fourfold_symmetric_modulus() -> None:
         assert abs(mo.evaluate(x, y)) == pytest.approx(rotated, abs=1e-13)
 
 
-def test_lowdin_fallback_restores_orthonormality_with_warning() -> None:
-    geo = Geometry.triangle(1.0, 1.0)
-    raw = {
-        "g": MolecularOrbital("g", geo, (0.7, 0.5, 0.5)),
-        "e": MolecularOrbital("e", geo, (0.7, -0.4, -0.4)),
-    }
-    with pytest.warns(UserWarning):
-        fixed = _orthonormalized_if_needed(raw)
-    np.testing.assert_allclose(mo_gram(fixed), np.eye(2), atol=1e-12)
+def test_square_side_boundary_of_the_orthonormality_check() -> None:
+    # the closed-form set of the square keeps its Gram bound at side 0.06
+    # and loses it to rounding at 0.05
+    assert np.max(np.abs(mo_gram(rectangle_mos(0.06, 0.06)) - np.eye(4))) <= 1e-10
+    with pytest.raises(ValueError, match="sites too close for an orthonormal orbital set"):
+        rectangle_mos(0.05, 0.05)
+
+
+def test_far_site_evaluates_to_zero_without_a_warning() -> None:
+    site = SiteOrbital((1e300, -1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert site.evaluate(0.0, 0.0) == 0.0
+        assert np.all(site.evaluate(np.zeros((3, 1)), np.zeros((1, 2))) == 0.0)
 
 
 def test_figure_mo_sets_never_need_the_fallback() -> None:
