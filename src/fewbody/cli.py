@@ -29,6 +29,7 @@ import numpy as np
 from . import density_maps, fock_engine, orbitals
 from .exact import ZERO, rational, sqrt_rational
 from .fock_engine import Mode, StateVector, apply_mode_transform, beamsplitter
+from .grid_tiles import usable_cpus
 from .spin_algebra import UP, family_3, family_4, recoupling_identity, spin_overlap
 from .wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
@@ -73,9 +74,6 @@ class ExperimentConfig:
         return density_maps.GridSpec(
             (self.x_min, self.x_max), (self.y_min, self.y_max), (self.nx, self.ny)
         )
-
-    def c1(self) -> complex:
-        return self.c1_magnitude * complex(math.cos(self.c1_phase), math.sin(self.c1_phase))
 
 
 def _format_value(value) -> str:
@@ -374,7 +372,7 @@ def _write_csv(grid: density_maps.DensityGrid, path: Path) -> None:
     # one contiguous block of rows per usable CPU: a forked helper writes each
     # block after the first into the part file <path>.<i> while this process
     # writes the header and block 0; the parts are then appended in order
-    count = min(_usable_cpus(), nx)
+    count = min(usable_cpus(), nx) if hasattr(os, "fork") else 1
     bounds = [nx * i // count for i in range(count + 1)]
     helpers: list[tuple[int, Path]] = []
     try:
@@ -401,13 +399,6 @@ def _write_csv(grid: density_maps.DensityGrid, path: Path) -> None:
     finally:
         for _, part in helpers:
             part.unlink(missing_ok=True)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork helpers."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _write_rows(fh, rows: np.ndarray, row_format: str) -> None:
@@ -654,14 +645,17 @@ def _dimensions_text(config: ExperimentConfig) -> str:
 def _balance_residual(
     config: ExperimentConfig, mos: dict[str, orbitals.MolecularOrbital]
 ) -> float:
-    """density_maps.balance_residual of the run's orbitals at C1 = config.c1(),
-    over six configurations drawn with seed 1."""
+    """density_maps.balance_residual of the run's orbitals over six configurations
+    drawn with seed 1, at |C1| = 1: the check does not depend on the scale of
+    C1, whose square can overflow.  Magnitude 0 keeps C1 = 0."""
     n = config.particles
+    phase = config.c1_phase
+    c1 = complex(math.cos(phase), math.sin(phase)) if config.c1_magnitude != 0 else 0j
     rng = np.random.default_rng(1)
     configurations = [
         [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)] for _ in range(6)
     ]
-    return density_maps.balance_residual(n, mos, config.c1(), configurations)
+    return density_maps.balance_residual(n, mos, c1, configurations)
 
 
 # -- verify ------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .grid_tiles import tiled
 from .orbitals import MolecularOrbital, evaluate_orbitals
 from .wavefunction_algebra import (
     ReducedDensity,
@@ -122,12 +123,14 @@ def single_density(
     """
     wg, we = _occupancy_weights(n)
     spec = spec or GridSpec()
-    g, e = (
-        np.asarray(v, dtype=float)
-        for v in evaluate_orbitals((mos["g"], mos["e"]), *spec.open_mesh())
-    )
-    values = wg * g * g + we * e * e
-    return DensityGrid(spec, values)
+    x, y = spec.open_mesh()
+
+    def density(i0, i1):
+        g, e = evaluate_orbitals((mos["g"], mos["e"]), x[i0:i1], y)
+        g, e = np.asarray(g, dtype=float), np.asarray(e, dtype=float)
+        return wg * g * g + we * e * e
+
+    return DensityGrid(spec, tiled(density, spec.resolution))
 
 
 def ground_pair_kernel(
@@ -308,16 +311,18 @@ def antibunching_check(
 def probability_flux(mo: MolecularOrbital, spec: GridSpec | None = None) -> DensityGrid:
     """Probability current j = Im[phi* grad phi] of a molecular orbital."""
     spec = spec or GridSpec()
-    phi, gx, gy = mo.value_and_gradient(*spec.open_mesh())
-    # phi and each gradient component are arrays of this call's own, so
-    # conj(phi) * g is formed in place
-    phi = np.asarray(phi, dtype=complex)
-    np.conjugate(phi, out=phi)
-    gx, gy = (np.asarray(g, dtype=complex) for g in (gx, gy))
-    np.multiply(phi, gx, out=gx)
-    np.multiply(phi, gy, out=gy)
-    values = np.stack([gx.imag, gy.imag], axis=-1)
-    return DensityGrid(spec, values)
+    x, y = spec.open_mesh()
+
+    def flux(i0, i1):
+        phi, gx, gy = mo.value_and_gradient(x[i0:i1], y)
+        # phi and each gradient component are arrays of this call's own, so
+        # conj(phi) * g is formed in place
+        phi = np.asarray(phi, dtype=complex)
+        np.conjugate(phi, out=phi)
+        grad = [np.asarray(g, dtype=complex) for g in (gx, gy)]
+        return np.stack([np.multiply(phi, g, out=g).imag for g in grad], axis=-1)
+
+    return DensityGrid(spec, tiled(flux, (*spec.resolution, 2)))
 
 
 def local_maxima(grid: DensityGrid) -> list[Point]:
@@ -334,12 +339,17 @@ def local_maxima(grid: DensityGrid) -> list[Point]:
     nx, ny = v.shape
     padded = np.full((nx + 2, ny + 2), -np.inf)
     padded[1:-1, 1:-1] = v
-    flat = np.ones_like(v, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            flat &= v >= padded[1 + di : nx + 1 + di, 1 + dj : ny + 1 + dj]
+
+    def dominant(i0, i1):
+        rows = v[i0:i1]
+        top = np.ones_like(rows, dtype=bool)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di or dj:
+                    top &= rows >= padded[1 + di : nx + 1 + di, 1 + dj : ny + 1 + dj][i0:i1]
+        return top
+
+    flat = tiled(dominant, (nx, ny), bool)
     xs, ys = grid.spec.axes()
     seen = np.zeros_like(flat)
     results: list[Point] = []

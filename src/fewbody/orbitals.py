@@ -20,6 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .grid_tiles import tile_rows, tiled
+
 GRAM_TOLERANCE = 1e-10
 _TOO_CLOSE = "sites too close for an orthonormal orbital set"
 
@@ -146,8 +148,9 @@ class MolecularOrbital:
         coeffs = np.asarray(coefficients, dtype=complex)
         s = geometry.overlap_matrix()
         norm2 = float(np.real(coeffs.conj() @ s @ coeffs))
-        if norm2 <= 0:
-            raise ValueError("coefficients have no norm under the overlap metric")
+        if norm2 <= 0:  # nonzero coefficients meet a numerically singular overlap
+            no_norm = "coefficients have no norm under the overlap metric"
+            raise ValueError(_TOO_CLOSE if coeffs.any() else no_norm)
         coeffs = coeffs / math.sqrt(norm2)
         if np.allclose(coeffs.imag, 0.0):
             coeffs = coeffs.real.astype(complex)
@@ -205,18 +208,26 @@ def evaluate_orbitals(mos: Sequence[MolecularOrbital], x, y) -> list:
     """phi(x, y) of each orbital of one geometry, as its evaluate gives it.
 
     Each site Gaussian is evaluated once, folded into every orbital, and
-    dropped before the next site's is made.
+    dropped before the next site's is made.  A 2D grid (such as an open
+    mesh) runs in row tiles on every usable CPU (grid_tiles.tiled).
     """
     geometry = mos[0].geometry
     if any(mo.geometry != geometry for mo in mos):
         raise ValueError("orbitals must share one geometry")
     real = [mo.is_real() for mo in mos]
-    totals = [None] * len(mos)
-    for i, (_, site) in enumerate(geometry.sites):
-        values = site.evaluate(x, y)
-        totals = [_fold(t, values, mo.coefficients[i], r) for t, mo, r in zip(totals, mos, real)]
-        del values
-    return totals
+
+    def fold_sites(i0, i1):
+        xs, ys = tile_rows(x, i0, i1), tile_rows(y, i0, i1)
+        totals = [None] * len(mos)
+        for coeffs, (_, site) in zip(zip(*(mo.coefficients for mo in mos)), geometry.sites):
+            values = site.evaluate(xs, ys)
+            totals = [_fold(t, values, c, r) for t, c, r in zip(totals, coeffs, real)]
+            del values
+        return totals
+
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    dtypes = [float if r else complex for r in real]
+    return tiled(fold_sites, shape if len(shape) == 2 else (), dtypes)
 
 
 def mo_gram(mos: Mapping[str, MolecularOrbital]) -> np.ndarray:

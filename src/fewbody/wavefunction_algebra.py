@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .exact import ONE, ZERO, SqrtRational, rational, sqrt_rational
+from .grid_tiles import tile_rows, tiled
 from .sparse import SparseVector
 from .spin_algebra import (
     UP,
@@ -335,7 +336,8 @@ def evaluate_density(
 
     When every coefficient and every orbital value is real, the products
     and sums run in float64: they give the real part of the complex ones
-    bit for bit, since the imaginary parts are all zero.
+    bit for bit, since the imaginary parts are all zero.  On a 2D grid they
+    run in row tiles on every usable CPU (grid_tiles.tiled), same bytes.
     """
     if len(points) != len(density.kept):
         raise ValueError("one point per kept coordinate required")
@@ -358,23 +360,30 @@ def evaluate_density(
         coefs = [c.real for c in coefs]
     phi_conj = phi if real else {key: np.conjugate(v) for key, v in phi.items()}
 
-    total = None
-    for ((ket, bra), _), coef in zip(density.terms, coefs):
-        factors = [
-            f
-            for point, k, b in zip(points, ket, bra)
-            for f in (phi[id(point), k], phi_conj[id(point), b])
-        ]
-        # the first product is a new array: the orbital values stay unchanged
-        value = coef * factors[0]
-        for factor in factors[1:]:
-            value *= factor
-        if total is None:
-            total = value
-        else:
-            total += value
-    if total is None:
+    if not coefs:
         return 0.0
+
+    def term_sum(i0, i1):
+        total = None
+        for ((ket, bra), _), coef in zip(density.terms, coefs):
+            factors = [
+                tile_rows(f, i0, i1)
+                for point, k, b in zip(points, ket, bra)
+                for f in (phi[id(point), k], phi_conj[id(point), b])
+            ]
+            # the first product is a new array: the orbital values stay unchanged
+            value = coef * factors[0]
+            for factor in factors[1:]:
+                value *= factor
+            if total is None:
+                total = value
+            else:
+                total += value
+        return total
+
+    shape = np.broadcast_shapes(*map(np.shape, phi.values()))
+    dtype = np.result_type(coefs[0], *phi.values())
+    total = tiled(term_sum, shape if len(shape) == 2 else (), dtype)
     if real:
         return total if np.ndim(total) else float(total)
     # Hermitian kernels evaluate to real diagonals; drop roundoff imaginary.

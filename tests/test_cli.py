@@ -382,6 +382,37 @@ def test_density_balance_at_zero_norm_phase_cannot_run(
     assert out.endswith("RESULT: FAIL\n")
 
 
+BALANCED = "[PASS] boson and fermion densities agree at balance  (max deviation 6.776e-21)"
+ZERO_NORM = (
+    "[FAIL] boson and fermion densities agree at balance  "
+    "(cannot run: C1·Ψ1 + C1*·Ψ2 has zero norm (fermion))"
+)
+
+
+@pytest.mark.parametrize(
+    "magnitude, phase, line",
+    [
+        ("1", "0.39", BALANCED),
+        ("1e200", "0.39", BALANCED),
+        ("-3", "0.39", BALANCED),
+        ("5e-324", "0.39", BALANCED),
+        ("1e200", "0", ZERO_NORM),
+        ("0", "0.39", ZERO_NORM),
+    ],
+    ids=["1", "1e200", "-3", "5e-324", "1e200-phase-0", "0"],
+)
+def test_density_balance_does_not_depend_on_the_magnitude_of_c1(
+    magnitude: str, phase: str, line: str, tmp_path: Path, capsys
+) -> None:
+    # |C1|^2 of 1e200 overflows; the check runs at |C1| = 1 and the phase
+    argv = ["density", "--output-dir", str(tmp_path), "--set", "nx=16", "--set", "ny=16"]
+    settings = [f"c1_magnitude={magnitude}", f"c1_phase={phase}", "c2_magnitude=1"]
+    code = main([*argv, *(arg for s in settings for arg in ("--set", s))])
+    out = capsys.readouterr().out
+    assert code == (0 if line == BALANCED else 1)
+    assert f"\n{line}\n" in out
+
+
 def test_write_csv_matches_repr_of_every_float(tmp_path: Path) -> None:
     spec = GridSpec((-1.5, 0.1 + 0.2), (-6.0, 6.0), (8, 8))
     awkward = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0, 2.5e-17, 1 / 3, 0.0]
@@ -413,7 +444,7 @@ def test_write_csv_bytes_do_not_depend_on_the_block_count(
     for kind, values in (("scalar", scalar), ("flux", flux)):
         written = {}
         for blocks in (1, 2, 3):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: blocks)
+            monkeypatch.setattr(cli, "usable_cpus", lambda: blocks)
             path = tmp_path / f"{kind}-{blocks}.csv"
             _write_csv(DensityGrid(spec, values), path)
             written[blocks] = path.read_bytes()
@@ -428,9 +459,9 @@ def test_write_csv_bytes_do_not_depend_on_the_block_count(
 def test_write_csv_with_more_cpus_than_rows(tmp_path: Path, monkeypatch) -> None:
     spec = GridSpec((-1.0, 1.0), (-1.0, 1.0), (8, 9))
     values = np.arange(72.0).reshape(8, 9) / 7.0
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
     _write_csv(DensityGrid(spec, values), tmp_path / "one.csv")
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 12)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 12)
     _write_csv(DensityGrid(spec, values), tmp_path / "capped.csv")
     assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.csv", "one.csv"]
@@ -447,7 +478,7 @@ def _fail_rows_in(monkeypatch, where: str) -> None:
         write_rows(fh, rows, row_format)
 
     monkeypatch.setattr(cli, "_write_rows", failing)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
 
 
 def test_failed_helper_fails_the_density_run_and_leaves_nothing(
@@ -511,10 +542,12 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--geometry", "rectangle", "--a", "0.01", "--b", "0.01"],
         ["density", "--set", "conditioning_points=nan,0"],
         ["density", "--set", "coupling=high"],
+        ["density", "--geometry", "rectangle", "--a", "1e-9", "--b", "1e-9"],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
         "triangle-a=1e-9", "square-0.05", "square-0.01", "nan-conditioning-point", "coupling",
+        "square-1e-9",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:

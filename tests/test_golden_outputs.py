@@ -13,6 +13,7 @@ into one; the angles include 0 and pi/2, where the splitter output carries
 signed-zero amplitudes that the report prints as `+0.000000i`/`-0.000000i`.
 The maps on the 64x48 asymmetric grid were recorded before orbitals were
 evaluated on the open mesh (x of shape (nx, 1), y of shape (1, ny)).
+They are checked again with the grid split into row tiles of three rows.
 The `verify` stdout was recorded before the library API that no verb uses
 was cut from spin_algebra, symmetric_group and wavefunction_algebra.
 The odd balanced-square run is repeated in a CLI process pinned to one CPU,
@@ -32,7 +33,7 @@ import numpy as np
 import pytest
 
 import fewbody
-from fewbody import density_maps, orbitals
+from fewbody import density_maps, grid_tiles, orbitals
 from fewbody.cli import ExperimentConfig, main, run_hom
 
 GRID_16 = ["--set", "nx=16", "--set", "ny=16", "--output-dir", "out"]
@@ -261,7 +262,7 @@ def _pin_to_one_cpu() -> None:
 
 # a CLI process that writes each CSV in three blocks, two of them by helpers
 THREE_BLOCKS = (
-    "import sys, fewbody.cli as cli; cli._usable_cpus = lambda: 3; sys.exit(cli.main())"
+    "import sys, fewbody.cli as cli; cli.usable_cpus = lambda: 3; sys.exit(cli.main())"
 )
 
 
@@ -407,6 +408,17 @@ def test_maps_on_an_asymmetric_grid_are_bit_identical(geometry: str) -> None:
     for label, mo in flux_mos.items():
         hashes[f"flux_{label}"] = _sha(density_maps.probability_flux(mo, spec).values)
     assert hashes == ASYMMETRIC_HASHES[geometry]
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_maps_on_an_asymmetric_grid_in_row_tiles_are_bit_identical(
+    geometry: str, monkeypatch
+) -> None:
+    """The same hashes with the grid split into tiles of three rows (the
+    last of one row) on three workers."""
+    monkeypatch.setattr(grid_tiles, "TILE_CELLS", 3 * 48 + 5)
+    monkeypatch.setattr(grid_tiles, "usable_cpus", lambda: 3)
+    test_maps_on_an_asymmetric_grid_are_bit_identical(geometry)
 
 
 HOM_THETAS = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2, 0.1, 0.7, 1.3)

@@ -212,6 +212,18 @@ def test_square_side_boundary_of_the_orthonormality_check() -> None:
         rectangle_mos(0.05, 0.05)
 
 
+def test_orbital_without_norm_is_reported_as_sites_too_close() -> None:
+    # at side 1e-9 every overlap rounds to 1 and a pattern's norm^2 to <= 0;
+    # only coefficients that are all zero have no norm for another reason
+    with pytest.raises(ValueError, match="sites too close for an orthonormal orbital set"):
+        rectangle_mos(1e-9, 1e-9)
+    geometry = Geometry.rectangle(1e-9, 1e-9)
+    with pytest.raises(ValueError, match="sites too close for an orthonormal orbital set"):
+        MolecularOrbital.normalized("e", geometry, (1.0, -1.0, -1.0, 1.0))
+    with pytest.raises(ValueError, match="coefficients have no norm under the overlap metric"):
+        MolecularOrbital.normalized("0", Geometry.rectangle(2.0, 2.0), (0.0, 0.0, 0.0, 0.0))
+
+
 def test_far_site_evaluates_to_zero_without_a_warning() -> None:
     site = SiteOrbital((1e300, -1e300))
     with warnings.catch_warnings():
