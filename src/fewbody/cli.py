@@ -52,7 +52,6 @@ class ExperimentConfig:
     a: float = 2.0
     h: float = 2.5
     b: float = 2.5
-    particles: int = 3
     statistics: str = "fermion"
     c1_magnitude: float = 1.0
     c1_phase: float = 0.0
@@ -94,9 +93,12 @@ def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
     if not text:
         return ()
     points = []
-    for chunk in text.split(";"):
-        xs, ys = chunk.split(",")
-        points.append((float(xs), float(ys)))
+    try:
+        for chunk in text.split(";"):
+            xs, ys = chunk.split(",")
+            points.append((float(xs), float(ys)))
+    except ValueError:
+        raise ValueError(f"conditioning_points must read 'x,y; x,y; ...', not {text!r}") from None
     return tuple(points)
 
 
@@ -469,25 +471,23 @@ def _write_ppm(
 
 def _density_inputs(
     config: ExperimentConfig,
-) -> tuple[dict[str, orbitals.MolecularOrbital], density_maps.GridSpec]:
-    """The orbitals and grid of a density run; ValueError on an invalid input."""
+) -> tuple[int, dict[str, orbitals.MolecularOrbital], density_maps.GridSpec]:
+    """The particle count, orbitals and grid of a density run: a triangle
+    carries 3 particles, a rectangle 4.  ValueError on an invalid input."""
     if config.geometry == "triangle":
-        mos = orbitals.triangle_mos(config.a, config.h)
+        n, mos = 3, orbitals.triangle_mos(config.a, config.h)
     elif config.geometry == "rectangle":
-        mos = orbitals.rectangle_mos(config.a, config.b)
+        n, mos = 4, orbitals.rectangle_mos(config.a, config.b)
     else:
         raise ValueError(f"unknown geometry {config.geometry!r}")
-    if (config.geometry, config.particles) not in (("triangle", 3), ("rectangle", 4)):
-        raise ValueError("triangle carries 3 particles, rectangle 4")
     if config.statistics not in ("fermion", "boson"):
         raise ValueError(f"unknown statistics {config.statistics!r}")
-    return mos, config.grid_spec()
+    return n, mos, config.grid_spec()
 
 
 def run_density(config: ExperimentConfig) -> RunReport:
     """Render the configured geometry's density maps and flux fields."""
-    mos, spec = _density_inputs(config)
-    n = config.particles
+    n, mos, spec = _density_inputs(config)
     assertions = []
     summaries = []
     manifest = []
@@ -507,7 +507,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
         n, mos, "boson" if config.statistics == "fermion" else "fermion"
     )
     alt = density_maps.PairDensityKernel(
-        n, density_maps.ground_pair_kernel(n, config.statistics, "high"), mos
+        density_maps.ground_pair_kernel(n, config.statistics, "high"), mos
     )
     rng = np.random.default_rng(0)
     pts = rng.uniform(-4.0, 4.0, size=(2000, 4))
@@ -589,7 +589,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
         if config.c2_magnitude != 0.0:
             label = "boson and fermion densities agree at balance"
             try:
-                residual = _balance_residual(config, mos)
+                residual = _balance_residual(config, n, mos)
             except density_maps.ZeroNormSuperposition as exc:
                 assertions.append(
                     AssertionResult(
@@ -643,12 +643,11 @@ def _dimensions_text(config: ExperimentConfig) -> str:
 
 
 def _balance_residual(
-    config: ExperimentConfig, mos: dict[str, orbitals.MolecularOrbital]
+    config: ExperimentConfig, n: int, mos: dict[str, orbitals.MolecularOrbital]
 ) -> float:
-    """density_maps.balance_residual of the run's orbitals over six configurations
-    drawn with seed 1, at |C1| = 1: the check does not depend on the scale of
-    C1, whose square can overflow.  Magnitude 0 keeps C1 = 0."""
-    n = config.particles
+    """density_maps.balance_residual of the run's n particles over six
+    configurations drawn with seed 1, at |C1| = 1: the check does not depend
+    on the scale of C1, whose square can overflow.  Magnitude 0 keeps C1 = 0."""
     phase = config.c1_phase
     c1 = complex(math.cos(phase), math.sin(phase)) if config.c1_magnitude != 0 else 0j
     rng = np.random.default_rng(1)
@@ -830,7 +829,6 @@ def _build_parser() -> argparse.ArgumentParser:
     density.add_argument("--a", type=float)
     density.add_argument("--h", type=float)
     density.add_argument("--b", type=float)
-    density.add_argument("--particles", type=int, choices=(3, 4))
 
     verify = sub.add_parser("verify", help="run the identity suite")
     common(verify)
@@ -852,6 +850,10 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
     elif verb == "density":
         if os.path.basename(config.name) != config.name:
             raise ValueError(f"name {config.name!r} must be a plain file name")
+        out_dir = Path(config.output_dir)
+        existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        if not existing.is_dir():
+            raise ValueError(f"output_dir {config.output_dir!r}: {existing} is not a directory")
         _density_inputs(config)
 
 
@@ -861,8 +863,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        if args.verb == "density" and args.geometry == "rectangle" and args.particles is None:
-            config = replace(config, particles=4)
         _check_inputs(args.verb, config)
     except (OSError, ValueError) as exc:
         return _input_error(exc)

@@ -8,6 +8,7 @@ units, flux in units with hbar/m = 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -18,7 +19,6 @@ from .grid_tiles import tiled
 from .orbitals import MolecularOrbital, evaluate_orbitals
 from .wavefunction_algebra import (
     ReducedDensity,
-    Superposition,
     assemble_state,
     evaluate_density,
     full_overlap,
@@ -102,14 +102,6 @@ class DensityGrid:
         return float(self.values.sum()) * self.spec.cell_area
 
 
-def _occupancy_weights(n: int) -> tuple[float, float]:
-    if n == 3:
-        return (2.0 / 3.0, 1.0 / 3.0)
-    if n == 4:
-        return (0.5, 0.5)
-    raise ValueError("particle count must be 3 or 4")
-
-
 def single_density(
     n: int,
     mos: Mapping[str, MolecularOrbital],
@@ -117,33 +109,33 @@ def single_density(
 ) -> DensityGrid:
     """Spin-independent one-particle density of the collective ground state.
 
-    The maximal-multiplicity filling puts the doubly occupied orbital at
-    phi_g, so the density is (2/3)phi_g^2 + (1/3)phi_e^2 for three
-    particles and (phi_g^2 + phi_e^2)/2 for four.
+    It is the one-coordinate marginal of the spin-traced ground state.  The
+    maximal-multiplicity filling puts the doubly occupied orbital at phi_g,
+    so the marginal is (2/3)phi_g^2 + (1/3)phi_e^2 for three particles and
+    (phi_g^2 + phi_e^2)/2 for four.
     """
-    wg, we = _occupancy_weights(n)
     spec = spec or GridSpec()
-    x, y = spec.open_mesh()
-
-    def density(i0, i1):
-        g, e = evaluate_orbitals((mos["g"], mos["e"]), x[i0:i1], y)
-        g, e = np.asarray(g, dtype=float), np.asarray(e, dtype=float)
-        return wg * g * g + we * e * e
-
-    return DensityGrid(spec, tiled(density, spec.resolution))
+    kernel = PairDensityKernel(marginalize(ground_pair_kernel(n, "fermion"), (1,)), mos)
+    return DensityGrid(spec, kernel(spec))
 
 
+@functools.cache  # a shared ReducedDensity is safe: it is frozen
 def ground_pair_kernel(
     n: int, statistics: str = "fermion", coupling: str = "low"
 ) -> ReducedDensity:
-    """Two-coordinate marginal kernel of the collective ground state."""
+    """Two-coordinate marginal kernel of the collective ground state.
+
+    Cached on the arguments as given: callers pass them positionally, so
+    single_density and pair_density share one trace.
+    """
     state = assemble_state(n, coupling, statistics)
     return marginalize(spin_trace_pair(state, state), (1, 2))
 
 
 @dataclass(frozen=True)
 class PairDensityKernel:
-    """Evaluable two-point density; symmetric under argument exchange.
+    """Evaluable density kernel, one point per kept coordinate; a pair
+    density is symmetric under argument exchange.
 
     A point is an (x, y) pair of scalars or arrays, or a GridSpec standing
     for every cell of that grid.  The kernel evaluates its orbitals on a
@@ -151,14 +143,13 @@ class PairDensityKernel:
     grid, for as long as the kernel lives.
     """
 
-    n: int
     density: ReducedDensity
     mos: Mapping[str, MolecularOrbital]
     _grid_orbitals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __call__(self, r1, r2):
+    def __call__(self, *points):
         evaluator = {label: mo.evaluate for label, mo in self.mos.items()}
-        points = [self._on_grid(r) if isinstance(r, GridSpec) else tuple(r) for r in (r1, r2)]
+        points = [self._on_grid(r) if isinstance(r, GridSpec) else tuple(r) for r in points]
         return evaluate_density(self.density, evaluator, points)
 
     def _on_grid(self, spec: GridSpec) -> dict[str, np.ndarray]:
@@ -179,16 +170,7 @@ def pair_density(
     statistics: str = "fermion",
 ) -> PairDensityKernel:
     """Joint two-particle density of the collective ground state."""
-    if n not in (3, 4):
-        raise ValueError("particle count must be 3 or 4")
-    return PairDensityKernel(n, ground_pair_kernel(n, statistics), mos)
-
-
-def _every_cell(kernel: Callable, spec: GridSpec):
-    """The kernel argument for every cell of spec: the spec itself for a
-    PairDensityKernel, which then reuses its orbital values, else the
-    meshgrid."""
-    return spec if isinstance(kernel, PairDensityKernel) else spec.meshgrid()
+    return PairDensityKernel(ground_pair_kernel(n, statistics), mos)
 
 
 class VanishingMarginalError(ValueError):
@@ -196,7 +178,7 @@ class VanishingMarginalError(ValueError):
 
 
 def conditional_density(
-    kernel: Callable,
+    kernel: PairDensityKernel,
     r0: Point,
     spec: GridSpec | None = None,
 ) -> DensityGrid:
@@ -206,7 +188,7 @@ def conditional_density(
     plotted grid.
     """
     spec = spec or GridSpec()
-    slice_values = np.asarray(kernel(_every_cell(kernel, spec), r0), dtype=float)
+    slice_values = np.asarray(kernel(spec, r0), dtype=float)
     marginal = float(slice_values.sum()) * spec.cell_area
     if marginal <= 1e-15:
         raise VanishingMarginalError(
@@ -235,15 +217,24 @@ def balance_residual(
     normalised to unit total weight before comparison, so the check is
     insensitive to the overall norm of the superposed state.  Raises
     ZeroNormSuperposition when that weight vanishes, which happens at the
-    ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.
+    ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.  A C1 whose
+    squared modulus overflows is taken at unit modulus; a non-finite C1
+    raises ValueError.
     """
+    c1 = complex(c1)
+    if not all(map(math.isfinite, (c1.real, c1.imag))):
+        raise ValueError(f"C1 must be finite, not {c1!r}")
+    modulus = math.hypot(c1.real, c1.imag)
+    if not math.isfinite(modulus * modulus):
+        c1 /= max(abs(c1.real), abs(c1.imag))
+        c1 /= abs(c1)
     c2 = c1.conjugate()
     evaluator = {label: mo.evaluate for label, mo in mos.items()}
     densities = {}
     for statistics in ("fermion", "boson"):
         psi1 = assemble_state(n, "low", statistics)
         psi2 = assemble_state(n, "high", statistics)
-        kernel = spin_trace(Superposition(c1, psi1, c2, psi2))
+        kernel = spin_trace(c1, psi1, c2, psi2)
         cross = complex(full_overlap(psi1, psi2))
         weight = abs(c1) ** 2 + abs(c2) ** 2 + 2.0 * (c1 * c2.conjugate() * cross).real
         if weight == 0.0:
@@ -270,7 +261,7 @@ class AntibunchingReport:
 
 
 def antibunching_check(
-    kernel: Callable,
+    kernel: PairDensityKernel,
     marginal: Callable | DensityGrid,
     spec: GridSpec | None = None,
 ) -> AntibunchingReport:
@@ -292,8 +283,7 @@ def antibunching_check(
     else:
         rho = np.asarray(marginal(*spec.open_mesh()), dtype=float)
         rho = np.broadcast_to(rho, spec.resolution)
-    grid = _every_cell(kernel, spec)
-    coincidence = np.asarray(kernel(grid, grid), dtype=float)
+    coincidence = np.asarray(kernel(spec, spec), dtype=float)
     mask = rho > DENSITY_FLOOR
     ratios = np.where(mask, coincidence / np.where(mask, rho * rho, 1.0), -np.inf)
     idx = int(np.argmax(ratios))

@@ -80,32 +80,19 @@ class Permutation:
         return Permutation(tuple(image))
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
-    """Partition of n as a non-increasing tuple of positive row lengths."""
-
-    partition: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.partition
-        if not p or any(x <= 0 for x in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-            raise ValueError(f"invalid partition {p}")
-
-    @property
-    def size(self) -> int:
-        return sum(self.partition)
-
-
-def _is_standard(diagram: YoungDiagram, rows: tuple[tuple[int, ...], ...]) -> bool:
-    if tuple(len(r) for r in rows) != diagram.partition:
+def _is_standard(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Rows of non-increasing positive length (a partition) holding 1..n,
+    increasing along each row and down each column."""
+    lengths = [len(row) for row in rows]
+    if not lengths or 0 in lengths or lengths != sorted(lengths, reverse=True):
         return False
     entries = [x for row in rows for x in row]
-    if sorted(entries) != list(range(1, diagram.size + 1)):
+    if sorted(entries) != list(range(1, len(entries) + 1)):
         return False
     for row in rows:
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
             return False
-    for c in range(diagram.partition[0]):
+    for c in range(lengths[0]):
         col = [row[c] for row in rows if len(row) > c]
         if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
             return False
@@ -125,53 +112,38 @@ def _group_over_blocks(n: int, blocks: list[tuple[int, ...]]) -> list[Permutatio
     return members
 
 
-@dataclass(frozen=True)
-class Symmetrizer:
-    """Signed formal sum of permutations."""
-
-    terms: tuple[tuple[Permutation, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 def build_symmetrizer(
-    diagram: YoungDiagram,
-    tableau: Sequence[Sequence[int]],
-    conjugate: bool = False,
-) -> Symmetrizer:
-    """Young symmetrizer of a standard tableau.
+    tableau: Sequence[Sequence[int]], conjugate: bool = False
+) -> tuple[tuple[Permutation, int], ...]:
+    """Young symmetrizer of a standard tableau as (permutation, sign) terms.
 
-    The column operators act first on the wavefunction, then the row
-    operators.  With conjugate=False rows are symmetrized and columns
-    antisymmetrized; conjugate=True swaps those roles on the same tableau.
+    The tableau's row lengths are its partition.  The column operators act
+    first on the wavefunction, then the row operators.  With
+    conjugate=False rows are symmetrized and columns antisymmetrized;
+    conjugate=True swaps those roles on the same tableau.
     """
     rows = tuple(tuple(r) for r in tableau)
-    if not _is_standard(diagram, rows):
-        raise ValueError(f"tableau {rows} not standard for partition {diagram.partition}")
-    n = diagram.size
-    cols = [
-        tuple(row[c] for row in rows if len(row) > c)
-        for c in range(diagram.partition[0])
-    ]
+    if not _is_standard(rows):
+        raise ValueError(f"tableau {rows} is not standard")
+    n = sum(map(len, rows))
+    cols = [tuple(row[c] for row in rows if len(row) > c) for c in range(len(rows[0]))]
     row_group = _group_over_blocks(n, list(rows))
     col_group = _group_over_blocks(n, cols)
     col_terms = [(p, 1 if conjugate else p.sign()) for p in col_group]
     row_terms = [(p, p.sign() if conjugate else 1) for p in row_group]
-    terms = tuple(
+    return tuple(
         (p2.compose(p1), s1 * s2) for (p1, s1) in col_terms for (p2, s2) in row_terms
     )
-    return Symmetrizer(terms)
 
 
-def apply_symmetrizer(sym: Symmetrizer, wf):
-    """Apply a symmetrizer to any object with permuted() and scaled().
+def apply_symmetrizer(terms: Sequence[tuple[Permutation, int]], wf):
+    """Apply (permutation, sign) terms to any object with permuted() and scaled().
 
     Returns sum over terms sign * wf.permuted(p); duck-typed so position
     wavefunctions stay defined in their own module.
     """
     total = None
-    for perm, sign in sym.terms:
+    for perm, sign in terms:
         piece = wf.permuted(perm).scaled(sign)
         total = piece if total is None else total + piece
     return total

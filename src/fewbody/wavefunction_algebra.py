@@ -34,16 +34,9 @@ from .spin_algebra import (
     family_4,
     spin_overlap,
 )
-from .symmetric_group import (
-    Permutation,
-    YoungDiagram,
-    apply_symmetrizer,
-    build_symmetrizer,
-)
+from .symmetric_group import Permutation, apply_symmetrizer, build_symmetrizer
 
 Scalar = Union[int, Fraction, SqrtRational]
-
-ORBITAL_SLOTS = ("I", "II", "III", "IV")
 
 #: default orbital content of the slots: doubly occupied ground + excited
 GROUND_ASSIGNMENT = {3: ("g", "g", "e"), 4: ("g", "g", "e", "e")}
@@ -115,15 +108,16 @@ def build_position_family(
     orbitals = tuple(orbital_assignment or GROUND_ASSIGNMENT[n])
     if len(orbitals) != n:
         raise ValueError(f"need {n} orbital labels, got {len(orbitals)}")
-    diagram = YoungDiagram((2, 1) if n == 3 else (2, 2))
-    sym = build_symmetrizer(diagram, _STANDARD_TABLEAU[n], conjugate=bool(kind))
+    tableau = _STANDARD_TABLEAU[n]
+    sym = build_symmetrizer(tableau, conjugate=bool(kind))
     # slot I..IV sits in the tableau cell holding the same-index coordinate,
     # so the standard member's base monomial assigns orbital k to coordinate k
     base = PositionWavefunction.monomial(orbitals)
     standard = apply_symmetrizer(sym, base)
     if standard.is_zero():
         raise VanishingRepresentationError(
-            f"assignment {orbitals} vanishes under the partition {diagram.partition} symmetrizer"
+            f"assignment {orbitals} vanishes under the partition"
+            f" {tuple(map(len, tableau))} symmetrizer"
         )
     return [standard.permuted(p) for p in _MEMBER_RELABELINGS[n]]
 
@@ -275,29 +269,19 @@ def spin_trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensit
     return ReducedDensity.from_dict(tuple(range(1, a.n + 1)), out)
 
 
-@dataclass(frozen=True)
-class Superposition:
-    """C1 Psi1 + C2 Psi2 with matching statistics and particle count."""
-
-    c1: complex
-    psi1: SpinPositionState
-    c2: complex
-    psi2: SpinPositionState
-
-    def __post_init__(self):
-        if self.psi1.statistics != self.psi2.statistics:
-            raise ValueError("statistics mismatch between branches")
-        if self.psi1.n != self.psi2.n:
-            raise ValueError("particle-count mismatch between branches")
-
-
-def spin_trace(state: Superposition) -> ReducedDensity:
-    """Full N-coordinate density |C1|^2 rho_11 + |C2|^2 rho_22 + cross terms."""
-    c1, c2 = complex(state.c1), complex(state.c2)
-    k11 = spin_trace_pair(state.psi1, state.psi1).scaled(abs(c1) ** 2)
-    k22 = spin_trace_pair(state.psi2, state.psi2).scaled(abs(c2) ** 2)
-    k12 = spin_trace_pair(state.psi1, state.psi2).scaled(c1 * c2.conjugate())
-    k21 = spin_trace_pair(state.psi2, state.psi1).scaled(c2 * c1.conjugate())
+def spin_trace(
+    c1: complex, psi1: SpinPositionState, c2: complex, psi2: SpinPositionState
+) -> ReducedDensity:
+    """Full N-coordinate density of C1 psi1 + C2 psi2:
+    |C1|^2 rho_11 + |C2|^2 rho_22 + cross terms.  The branches must share
+    their statistics and particle count."""
+    if psi1.statistics != psi2.statistics:
+        raise ValueError("statistics mismatch between branches")
+    c1, c2 = complex(c1), complex(c2)
+    k11 = spin_trace_pair(psi1, psi1).scaled(abs(c1) ** 2)
+    k22 = spin_trace_pair(psi2, psi2).scaled(abs(c2) ** 2)
+    k12 = spin_trace_pair(psi1, psi2).scaled(c1 * c2.conjugate())
+    k21 = spin_trace_pair(psi2, psi1).scaled(c2 * c1.conjugate())
     return k11 + k22 + k12 + k21
 
 

@@ -31,7 +31,6 @@ def test_config_round_trip_is_exact() -> None:
         geometry="rectangle",
         a=2.0,
         b=2.2,
-        particles=4,
         c1_magnitude=0.1,
         c1_phase=math.pi / 8,
         c2_magnitude=1.0,
@@ -287,7 +286,8 @@ def test_density_rectangle_defaults_to_four_particles(tmp_path: Path, capsys) ->
         ]
     )
     assert code == 0
-    assert "RESULT: PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "\n   particles: 4\n" in out and "RESULT: PASS" in out
     assert (tmp_path / "rect_conditional_4.csv").exists()
 
 
@@ -511,21 +511,28 @@ def test_failed_caller_block_reaps_every_helper(tmp_path: Path, capfd, monkeypat
     assert capfd.readouterr().err == ""
 
 
-def _assert_invalid_input(code: int, capsys, output_dir: Path) -> None:
+def _assert_invalid_input(code: int, capsys, output_dir: Path) -> str:
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("fewbody: error: ")
     assert captured.err.count("\n") == 1
     assert not output_dir.exists()
+    return captured.err
 
 
 def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> None:
+    # the geometry fixes the particle count: no key or flag sets it
     out = tmp_path / "out"
-    code = main(
-        ["density", "--geometry", "triangle", "--particles", "4", "--output-dir", str(out)]
-    )
-    _assert_invalid_input(code, capsys, out)
+    for count in ("4", "3"):
+        argv = ["density", "--geometry", "triangle", "--output-dir", str(out)]
+        err = _assert_invalid_input(main([*argv, "--set", f"particles={count}"]), capsys, out)
+        assert "unknown config key 'particles'" in err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--particles", count])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --particles" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -543,17 +550,31 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--set", "conditioning_points=nan,0"],
         ["density", "--set", "coupling=high"],
         ["density", "--geometry", "rectangle", "--a", "1e-9", "--b", "1e-9"],
+        ["density", "--set", "conditioning_points=1,2,3"],
+        ["density", "--set", "conditioning_points=1"],
+        ["density", "--set", "conditioning_points=a,b"],
+        ["density", "--output-dir", "FILE"],
+        ["density", "--output-dir", "FILE/sub"],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
         "triangle-a=1e-9", "square-0.05", "square-0.01", "nan-conditioning-point", "coupling",
-        "square-1e-9",
+        "square-1e-9", "three-value-point", "one-value-point", "non-numeric-point",
+        "output-dir-is-a-file", "output-dir-under-a-file",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
     out = tmp_path / "out"
-    _assert_invalid_input(main([*argv, "--output-dir", str(out)]), capsys, out)
-    assert list(tmp_path.iterdir()) == []
+    existing = tmp_path / "file"
+    existing.write_text("kept")
+    # a case's own --output-dir comes later and wins; FILE names an existing file
+    rest = [arg.replace("FILE", str(existing)) for arg in argv[1:]]
+    argv = [argv[0], "--output-dir", str(out), *rest]
+    err = _assert_invalid_input(main(argv), capsys, out)
+    if any(a.startswith("conditioning_points=") for a in argv):
+        assert "conditioning_points" in err
+    assert list(tmp_path.iterdir()) == [existing]
+    assert existing.read_text() == "kept"
     assert [str(w.message) for w in recwarn] == []
 
 

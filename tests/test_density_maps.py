@@ -1,5 +1,6 @@
 """Grid densities, conditional maps, antibunching, probability flux."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from fewbody.density_maps import (
     AntibunchingReport,
     DensityGrid,
     GridSpec,
+    PairDensityKernel,
     antibunching_check,
+    balance_residual,
     conditional_density,
     discrete_divergence,
     ground_pair_kernel,
@@ -17,8 +20,14 @@ from fewbody.density_maps import (
     probability_flux,
     single_density,
 )
-from fewbody.orbitals import degenerate_superpositions, rectangle_mos, triangle_mos
-from fewbody.wavefunction_algebra import evaluate_density
+from fewbody.exact import rational
+from fewbody.orbitals import (
+    degenerate_superpositions,
+    evaluate_orbitals,
+    rectangle_mos,
+    triangle_mos,
+)
+from fewbody.wavefunction_algebra import ReducedDensity, evaluate_density, marginalize
 
 COARSE = GridSpec(resolution=(96, 96))
 
@@ -70,6 +79,36 @@ def test_single_density_integrates_to_one(n: int, mos: dict) -> None:
 def test_single_density_rejects_other_counts() -> None:
     with pytest.raises(ValueError):
         single_density(5, triangle_mos(2.0, 2.5))
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize(
+    "n,weights", [(3, (Fraction(2, 3), Fraction(1, 3))), (4, (Fraction(1, 2), Fraction(1, 2)))]
+)
+def test_one_coordinate_marginal_has_the_occupancy_weights(n, weights, statistics) -> None:
+    # the doubly occupied orbital g carries 2 of 3 particles, or 2 of 4
+    marginal = marginalize(ground_pair_kernel(n, statistics), (1,))
+    wg, we = map(rational, weights)
+    assert marginal.as_dict() == {(("e",), ("e",)): we, (("g",), ("g",)): wg}
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_ground_pair_kernel_is_traced_once(n, statistics) -> None:
+    assert ground_pair_kernel(n, statistics) is ground_pair_kernel(n, statistics)
+
+
+@pytest.mark.parametrize(
+    "n,mos,weights",
+    [(3, triangle_mos(2.0, 2.5), (2 / 3, 1 / 3)), (4, rectangle_mos(2.0, 2.0), (0.5, 0.5))],
+)
+def test_single_density_is_the_closed_form_bit_for_bit(n, mos, weights) -> None:
+    # 300 x 257 cells span two row tiles of grid_tiles.TILE_CELLS
+    spec = GridSpec(x_range=(-5.3, 4.1), y_range=(-3.7, 6.2), resolution=(300, 257))
+    wg, we = weights
+    g, e = evaluate_orbitals((mos["g"], mos["e"]), *spec.open_mesh())
+    closed_form = wg * g * g + we * e * e
+    assert single_density(n, mos, spec).values.tobytes() == closed_form.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -175,14 +214,26 @@ def test_ground_states_are_antibunched(n, mos, ratio) -> None:
 
 def test_uncorrelated_benchmark_is_not_antibunched() -> None:
     mos = triangle_mos(2.0, 2.5)
-    marginal = _hund_marginal(3, mos)
-
-    def product_kernel(r1, r2):
-        return marginal(*r1) * marginal(*r2)
-
-    report = antibunching_check(product_kernel, marginal, COARSE)
+    single = marginalize(ground_pair_kernel(3, "fermion"), (1,)).terms
+    product = ReducedDensity.from_dict(
+        (1, 2),
+        {(k1 + k2, b1 + b2): c1 * c2 for (k1, b1), c1 in single for (k2, b2), c2 in single},
+    )
+    report = antibunching_check(PairDensityKernel(product, mos), _hund_marginal(3, mos), COARSE)
     assert not report.antibunched
     assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
+
+
+def test_balance_residual_takes_a_huge_c1_at_unit_modulus() -> None:
+    # the check does not depend on the scale of C1, whose square overflows
+    mos = triangle_mos(2.0, 2.5)
+    points = [[(0.1, 0.2), (0.3, -0.4), (1.0, 0.5)]]
+    for c1 in (1e200 * complex(0.9, 0.4), complex(1.7e308, -1.7e308)):
+        residual = balance_residual(3, mos, c1, points)
+        assert math.isfinite(residual) and residual <= 1e-10
+    for c1 in (complex(math.inf, 0.0), complex(0.5, math.nan)):
+        with pytest.raises(ValueError, match="C1 must be finite"):
+            balance_residual(3, mos, c1, points)
 
 
 def test_conditional_density_normalizes_on_the_grid() -> None:

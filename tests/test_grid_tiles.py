@@ -223,4 +223,5 @@ def test_cli_import_and_tiled_fields_leave_one_thread() -> None:
     path = [str(Path(fewbody.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n2 1\n")
+    # two tiled passes (the orbitals, then the kernel's sum), two threads each
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n4 1\n")

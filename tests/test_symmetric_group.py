@@ -1,16 +1,10 @@
-"""Permutations, Young diagrams, tableau symmetrizers."""
+"""Permutations, standard tableaux, tableau symmetrizers."""
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fewbody.symmetric_group import (
-    Permutation,
-    Symmetrizer,
-    YoungDiagram,
-    apply_symmetrizer,
-    build_symmetrizer,
-)
+from fewbody.symmetric_group import Permutation, apply_symmetrizer, build_symmetrizer
 from fewbody.symmetric_group import _group_over_blocks
 from fewbody.wavefunction_algebra import PositionWavefunction
 
@@ -68,23 +62,24 @@ def test_sign_is_multiplicative(a, b) -> None:
 
 
 def test_young_diagram_validation() -> None:
-    with pytest.raises(ValueError):
-        YoungDiagram((1, 2))
-    with pytest.raises(ValueError):
-        YoungDiagram((2, 0))
-    assert YoungDiagram((2, 1)).size == 3
+    # the diagram is the tableau's row lengths, which must be a partition:
+    # no empty row, no row longer than the row above it
+    for rows in (((1,), (2, 3)), ((1, 2), ()), ((1, 2, 3), (), (4,)), ()):
+        with pytest.raises(ValueError):
+            build_symmetrizer(rows)
+    assert len(build_symmetrizer(((1, 2), (3,)))) == 4
 
 
 def test_nonstandard_tableau_rejected() -> None:
-    diagram = YoungDiagram((2, 1))
     with pytest.raises(ValueError):
-        build_symmetrizer(diagram, ((2, 1), (3,)))
-    build_symmetrizer(diagram, ((1, 3), (2,)))
+        build_symmetrizer(((2, 1), (3,)))
+    with pytest.raises(ValueError):
+        build_symmetrizer(((1, 2), (4,)))
+    build_symmetrizer(((1, 3), (2,)))
 
 
 def test_single_column_gives_full_antisymmetrizer() -> None:
-    diagram = YoungDiagram((1, 1, 1))
-    sym = build_symmetrizer(diagram, ((1,), (2,), (3,)))
+    sym = build_symmetrizer(((1,), (2,), (3,)))
     base = PositionWavefunction.monomial(("a", "b", "c"))
     result = apply_symmetrizer(sym, base)
     expansion = result.as_dict()
@@ -95,8 +90,7 @@ def test_single_column_gives_full_antisymmetrizer() -> None:
 
 
 def test_single_row_gives_full_symmetrizer() -> None:
-    diagram = YoungDiagram((3,))
-    sym = build_symmetrizer(diagram, ((1, 2, 3),))
+    sym = build_symmetrizer(((1, 2, 3),))
     result = apply_symmetrizer(sym, PositionWavefunction.monomial(("a", "b", "c")))
     assert all(v.as_rational() == 1 for v in result.as_dict().values())
     assert len(result.as_dict()) == 6
@@ -105,8 +99,7 @@ def test_single_row_gives_full_symmetrizer() -> None:
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_hook_symmetrizer_essentially_idempotent(conjugate: bool) -> None:
     # e^2 = (n! / dim) e with n! = 6 and dim = 2 for the (2,1) module
-    diagram = YoungDiagram((2, 1))
-    sym = build_symmetrizer(diagram, ((1, 2), (3,)), conjugate=conjugate)
+    sym = build_symmetrizer(((1, 2), (3,)), conjugate=conjugate)
     base = PositionWavefunction.monomial(("a", "b", "c"))
     once = apply_symmetrizer(sym, base)
     twice = apply_symmetrizer(sym, once)
@@ -114,14 +107,13 @@ def test_hook_symmetrizer_essentially_idempotent(conjugate: bool) -> None:
 
 
 def test_conjugate_swaps_roles_on_same_tableau() -> None:
-    diagram = YoungDiagram((2, 1))
     tableau = ((1, 2), (3,))
     plain = apply_symmetrizer(
-        build_symmetrizer(diagram, tableau, conjugate=False),
+        build_symmetrizer(tableau, conjugate=False),
         PositionWavefunction.monomial(("a", "b", "c")),
     )
     swapped = apply_symmetrizer(
-        build_symmetrizer(diagram, tableau, conjugate=True),
+        build_symmetrizer(tableau, conjugate=True),
         PositionWavefunction.monomial(("a", "b", "c")),
     )
     assert plain.as_dict() != swapped.as_dict()
@@ -129,14 +121,14 @@ def test_conjugate_swaps_roles_on_same_tableau() -> None:
     # so a repeat across the column kills the plain operator only
     repeated = PositionWavefunction.monomial(("a", "b", "a"))
     assert apply_symmetrizer(
-        build_symmetrizer(diagram, tableau, conjugate=False), repeated
+        build_symmetrizer(tableau, conjugate=False), repeated
     ).is_zero()
     assert not apply_symmetrizer(
-        build_symmetrizer(diagram, tableau, conjugate=True), repeated
+        build_symmetrizer(tableau, conjugate=True), repeated
     ).is_zero()
 
 
 def test_symmetrizer_term_count() -> None:
-    sym = build_symmetrizer(YoungDiagram((2, 2)), ((1, 2), (3, 4)))
-    assert isinstance(sym, Symmetrizer)
+    sym = build_symmetrizer(((1, 2), (3, 4)))
     assert len(sym) == 16
+    assert all(isinstance(p, Permutation) and sign in (1, -1) for p, sign in sym)

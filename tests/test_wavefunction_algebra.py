@@ -12,7 +12,6 @@ from fewbody.wavefunction_algebra import (
     PositionWavefunction,
     ReducedDensity,
     SpinPositionState,
-    Superposition,
     VanishingRepresentationError,
     assemble_state,
     build_position_family,
@@ -241,7 +240,7 @@ def test_evaluate_density_with_constant_orbitals() -> None:
 
 def test_evaluate_density_drops_roundoff_imaginary_part() -> None:
     psi1 = assemble_state(3, "low", "fermion")
-    kernel = spin_trace(Superposition(0.6 + 0.8j, psi1, 0.8 - 0.6j, psi1))
+    kernel = spin_trace(0.6 + 0.8j, psi1, 0.8 - 0.6j, psi1)
     evaluator = {"g": lambda x, y: np.exp(-(x * x + y * y)), "e": lambda x, y: x}
     grid = np.linspace(-1.0, 1.0, 8)
     xs, ys = np.meshgrid(grid, grid, indexing="ij")
@@ -254,7 +253,7 @@ def test_spin_trace_is_bilinear_in_the_branches() -> None:
     c1, c2 = 0.3 + 0.4j, -0.5 + 0.2j
     psi1 = assemble_state(3, "low", "boson", GENERIC_ASSIGNMENT[3])
     psi2 = assemble_state(3, "high", "boson", GENERIC_ASSIGNMENT[3])
-    combined = spin_trace(Superposition(c1, psi1, c2, psi2)).as_dict()
+    combined = spin_trace(c1, psi1, c2, psi2).as_dict()
     manual: dict = {}
     for coeff, bra_ket in (
         (abs(c1) ** 2, (psi1, psi1)),
@@ -273,8 +272,10 @@ def test_spin_trace_is_bilinear_in_the_branches() -> None:
 def test_superposition_statistics_mismatch_rejected() -> None:
     psi_f = assemble_state(3, "low", "fermion")
     psi_b = assemble_state(3, "low", "boson")
-    with pytest.raises(ValueError):
-        Superposition(1.0, psi_f, 1.0, psi_b)
+    with pytest.raises(ValueError, match="statistics mismatch between branches"):
+        spin_trace(1.0, psi_f, 1.0, psi_b)
+    with pytest.raises(ValueError, match="particle-count mismatch"):
+        spin_trace(1.0, psi_f, 1.0, assemble_state(4, "low", "fermion"))
 
 
 def test_assemble_state_cache_key_ignores_argument_type() -> None:
@@ -379,12 +380,10 @@ def test_conjugate_weighted_kernels_match_the_complex_loop(assignment) -> None:
     orbitals = GENERIC_ASSIGNMENT[4] if assignment == "generic" else None
     c1 = complex(np.cos(0.39), np.sin(0.39))
     kernel = spin_trace(
-        Superposition(
-            c1,
-            assemble_state(4, "low", "boson", orbitals),
-            c1.conjugate(),
-            assemble_state(4, "high", "boson", orbitals),
-        )
+        c1,
+        assemble_state(4, "low", "boson", orbitals),
+        c1.conjugate(),
+        assemble_state(4, "high", "boson", orbitals),
     )
     has_imaginary = any(complex(coef).imag != 0 for _, coef in kernel.terms)
     assert has_imaginary == (assignment == "generic")
