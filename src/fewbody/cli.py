@@ -22,14 +22,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import density_maps, fock_engine, orbitals
+from . import density_maps, float_text, fock_engine, orbitals
 from .exact import ZERO, rational, sqrt_rational
 from .fock_engine import Mode, StateVector, apply_mode_transform, beamsplitter
-from .grid_tiles import usable_cpus
 from .spin_algebra import UP, family_3, family_4, recoupling_identity, spin_overlap
 from .wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
@@ -356,6 +355,10 @@ def run_hom(config: ExperimentConfig) -> RunReport:
 # -- density -----------------------------------------------------------
 
 
+#: values formatted per float_text.join call: its scratch arrays stay in cache
+CSV_CHUNK = 4096
+
+
 def _write_csv(grid: density_maps.DensityGrid, path: Path) -> None:
     spec = grid.spec
     nx, ny = spec.resolution
@@ -364,67 +367,17 @@ def _write_csv(grid: density_maps.DensityGrid, path: Path) -> None:
         f"{spec.y_range[0]!r} {spec.y_range[1]!r} "
         f"{nx} {ny}\n"
     )
-    # "%r" of a Python float is repr(float): one format string per grid row,
-    # a scalar row on one line, a flux row as one "jx,jy" line per point
-    if grid.values.ndim == 2:
-        row_format = ",".join(["%r"] * ny) + "\n"
-    else:
-        row_format = "%r,%r\n" * ny
-    rows = grid.values.astype(float, copy=False).reshape(nx, -1)
-    # one contiguous block of rows per usable CPU: a forked helper writes each
-    # block after the first into the part file <path>.<i> while this process
-    # writes the header and block 0; the parts are then appended in order
-    count = min(usable_cpus(), nx) if hasattr(os, "fork") else 1
-    bounds = [nx * i // count for i in range(count + 1)]
-    helpers: list[tuple[int, Path]] = []
-    try:
-        try:
-            for i in range(1, count):
-                part = path.with_name(f"{path.name}.{i}")
-                block = rows[bounds[i] : bounds[i + 1]]
-                pid = os.fork()
-                if pid == 0:
-                    _write_part_and_exit(part, block, row_format)
-                helpers.append((pid, part))
-            with path.open("w") as fh:
-                fh.write(header)
-                _write_rows(fh, rows[: bounds[1]], row_format)
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in helpers]
-        for (_, part), code in zip(helpers, codes):
-            if code != 0:
-                raise RuntimeError(f"writing {path}: the helper for {part.name} exited {code}")
-        with path.open("ab") as fh:
-            for _, part in helpers:
-                with part.open("rb") as written:
-                    shutil.copyfileobj(written, fh)
-    finally:
-        for _, part in helpers:
-            part.unlink(missing_ok=True)
-
-
-def _write_rows(fh, rows: np.ndarray, row_format: str) -> None:
-    for row in rows:
-        fh.write(row_format % tuple(row.tolist()))
-
-
-def _write_part_and_exit(part: Path, rows: np.ndarray, row_format: str) -> NoReturn:
-    """Body of a forked helper: write rows into part, then leave through
-    os._exit, so the helper never unwinds into its parent's stack (staged
-    directories, a tracer) or flushes the parent's buffered output.  It only
-    formats and writes: it calls no BLAS and takes no lock that a thread of
-    the parent (such as a BLAS pool) may have held at the fork."""
-    code = 1
-    try:
-        with part.open("w") as fh:
-            _write_rows(fh, rows, row_format)
-        code = 0
-    except BaseException:
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
+    # repr(float) of every value: a scalar row on one line, a flux row as
+    # one "jx,jy" line per point
+    period = b"," * (ny - 1) + b"\n" if grid.values.ndim == 2 else b",\n"
+    separators = np.frombuffer(period, np.uint8)
+    values = grid.values.astype(float, copy=False).reshape(-1)
+    with path.open("wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, len(values), CSV_CHUNK):
+            chunk = values[start : start + CSV_CHUNK]
+            cycle = np.arange(start, start + len(chunk)) % len(separators)
+            fh.write(float_text.join(chunk, separators[cycle]))
 
 
 def _grayscale(values: np.ndarray) -> np.ndarray:
@@ -855,6 +808,13 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
         if not existing.is_dir():
             raise ValueError(f"output_dir {config.output_dir!r}: {existing} is not a directory")
         _density_inputs(config)
+        grid_bytes = config.nx * config.ny * 16  # one complex grid array
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if grid_bytes > memory:
+            raise ValueError(
+                f"grid {config.nx}x{config.ny}: one complex array of {grid_bytes} bytes "
+                f"exceeds the {memory} bytes of physical memory"
+            )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -16,6 +16,7 @@ doubly occupied, the rest e) puts the paired orbital in the first row.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -274,15 +275,26 @@ def spin_trace(
 ) -> ReducedDensity:
     """Full N-coordinate density of C1 psi1 + C2 psi2:
     |C1|^2 rho_11 + |C2|^2 rho_22 + cross terms.  The branches must share
-    their statistics and particle count."""
+    their statistics and particle count.  Raises ValueError when |C1|^2 or
+    |C2|^2 is not finite."""
     if psi1.statistics != psi2.statistics:
         raise ValueError("statistics mismatch between branches")
     c1, c2 = complex(c1), complex(c2)
-    k11 = spin_trace_pair(psi1, psi1).scaled(abs(c1) ** 2)
-    k22 = spin_trace_pair(psi2, psi2).scaled(abs(c2) ** 2)
+    k11 = spin_trace_pair(psi1, psi1).scaled(_squared_modulus("C1", c1))
+    k22 = spin_trace_pair(psi2, psi2).scaled(_squared_modulus("C2", c2))
     k12 = spin_trace_pair(psi1, psi2).scaled(c1 * c2.conjugate())
     k21 = spin_trace_pair(psi2, psi1).scaled(c2 * c1.conjugate())
     return k11 + k22 + k12 + k21
+
+
+def _squared_modulus(name: str, c: complex) -> float:
+    try:
+        square = abs(c) ** 2
+    except OverflowError:
+        square = math.inf
+    if not math.isfinite(square):
+        raise ValueError(f"|{name}|^2 is not finite for {name} = {c!r}")
+    return square
 
 
 def marginalize(density: ReducedDensity, keep: Iterable[int]) -> ReducedDensity:

@@ -1,7 +1,5 @@
 """Configuration handling, CLI verbs, output files, determinism."""
-import dataclasses
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -431,86 +429,6 @@ def test_write_csv_matches_repr_of_every_float(tmp_path: Path) -> None:
     assert (tmp_path / "flux.csv").read_text() == "\n".join(expected) + "\n"
 
 
-@pytest.mark.parametrize("shape", [(17, 17), (33, 8)], ids=["17x17", "33x8"])
-def test_write_csv_bytes_do_not_depend_on_the_block_count(
-    shape, tmp_path: Path, monkeypatch
-) -> None:
-    nx, ny = shape
-    spec = GridSpec((-2.0, 3.0), (-1.0, 1.5), (nx, ny))
-    rng = np.random.default_rng(7)
-    scalar = rng.exponential(size=(nx, ny))
-    scalar[0, 0], scalar[-1, -1] = -0.0, 5e-324
-    flux = rng.normal(size=(nx, ny, 2))
-    for kind, values in (("scalar", scalar), ("flux", flux)):
-        written = {}
-        for blocks in (1, 2, 3):
-            monkeypatch.setattr(cli, "usable_cpus", lambda: blocks)
-            path = tmp_path / f"{kind}-{blocks}.csv"
-            _write_csv(DensityGrid(spec, values), path)
-            written[blocks] = path.read_bytes()
-        assert written[2] == written[1]
-        assert written[3] == written[1]
-    # the part files are appended and removed
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"{kind}-{blocks}.csv" for kind in ("scalar", "flux") for blocks in (1, 2, 3)
-    )
-
-
-def test_write_csv_with_more_cpus_than_rows(tmp_path: Path, monkeypatch) -> None:
-    spec = GridSpec((-1.0, 1.0), (-1.0, 1.0), (8, 9))
-    values = np.arange(72.0).reshape(8, 9) / 7.0
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
-    _write_csv(DensityGrid(spec, values), tmp_path / "one.csv")
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 12)
-    _write_csv(DensityGrid(spec, values), tmp_path / "capped.csv")
-    assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.csv", "one.csv"]
-
-
-def _fail_rows_in(monkeypatch, where: str) -> None:
-    """Make cli._write_rows raise in a forked helper or in the calling process."""
-    caller = os.getpid()
-    write_rows = cli._write_rows
-
-    def failing(fh, rows, row_format):
-        if (os.getpid() == caller) == (where == "caller"):
-            raise OSError(f"disk full in the {where}")
-        write_rows(fh, rows, row_format)
-
-    monkeypatch.setattr(cli, "_write_rows", failing)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
-
-
-def test_failed_helper_fails_the_density_run_and_leaves_nothing(
-    tmp_path: Path, capfd, monkeypatch
-) -> None:
-    _fail_rows_in(monkeypatch, "helper")
-    out = tmp_path / "out"
-    config = dataclasses.replace(ExperimentConfig(), nx=16, ny=16, output_dir=str(out))
-    with pytest.raises(RuntimeError, match=r"experiment_single\.csv: the helper for "):
-        run_density(config)
-    # no output directory, no staging directory, no part file
-    assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):  # every helper was reaped
-        os.waitpid(-1, os.WNOHANG)
-    captured = capfd.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("OSError: disk full in the helper") == 2  # one traceback each
-
-
-def test_failed_caller_block_reaps_every_helper(tmp_path: Path, capfd, monkeypatch) -> None:
-    _fail_rows_in(monkeypatch, "caller")
-    spec = GridSpec((-1.0, 1.0), (-1.0, 1.0), (9, 8))
-    with pytest.raises(OSError, match="disk full in the caller"):
-        _write_csv(DensityGrid(spec, np.ones((9, 8))), tmp_path / "grid.csv")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    # the helpers' part files are removed; the caller's own file stays for the
-    # staging directory to discard
-    assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
-    assert capfd.readouterr().err == ""
-
-
 def _assert_invalid_input(code: int, capsys, output_dir: Path) -> str:
     captured = capsys.readouterr()
     assert code == 2
@@ -555,12 +473,13 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--set", "conditioning_points=a,b"],
         ["density", "--output-dir", "FILE"],
         ["density", "--output-dir", "FILE/sub"],
+        ["density", "--set", "nx=100000", "--set", "ny=100000"],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
         "triangle-a=1e-9", "square-0.05", "square-0.01", "nan-conditioning-point", "coupling",
         "square-1e-9", "three-value-point", "one-value-point", "non-numeric-point",
-        "output-dir-is-a-file", "output-dir-under-a-file",
+        "output-dir-is-a-file", "output-dir-under-a-file", "grid-beyond-physical-memory",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
@@ -573,6 +492,8 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwa
     err = _assert_invalid_input(main(argv), capsys, out)
     if any(a.startswith("conditioning_points=") for a in argv):
         assert "conditioning_points" in err
+    if "nx=100000" in argv:  # 160 GB per complex array, found before any is allocated
+        assert "bytes of physical memory" in err
     assert list(tmp_path.iterdir()) == [existing]
     assert existing.read_text() == "kept"
     assert [str(w.message) for w in recwarn] == []

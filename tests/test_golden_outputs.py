@@ -16,9 +16,9 @@ evaluated on the open mesh (x of shape (nx, 1), y of shape (1, ny)).
 They are checked again with the grid split into row tiles of three rows.
 The `verify` stdout was recorded before the library API that no verb uses
 was cut from spin_algebra, symmetric_group and wavefunction_algebra.
-The odd balanced-square run is repeated in a CLI process pinned to one CPU,
-where each CSV is written in one block, and in one that writes each CSV in
-three blocks, two of them by forked helpers.
+The odd balanced-square run is repeated in a CLI process pinned to one CPU
+and in one that formats each CSV in blocks of three values, so that block
+edges fall inside rows.
 Refactors that keep the output contract must keep these green.
 """
 import dataclasses
@@ -260,17 +260,15 @@ def _pin_to_one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-# a CLI process that writes each CSV in three blocks, two of them by helpers
-THREE_BLOCKS = (
-    "import sys, fewbody.cli as cli; cli.usable_cpus = lambda: 3; sys.exit(cli.main())"
-)
+# a CLI process that formats each CSV in blocks of three values
+THREE_BLOCKS = "import sys, fewbody.cli as cli; cli.CSV_CHUNK = 3; sys.exit(cli.main())"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.parametrize("blocks", ["one-cpu", "three-blocks"])
 def test_density_process_writes_the_same_bytes(blocks: str, tmp_path: Path) -> None:
-    # one CPU: the CLI process writes every CSV alone; three blocks: forked
-    # helpers write two of them and must add nothing to stdout or stderr
+    # one CPU: the grid tiles run on one thread; three blocks: the CSV text
+    # is formatted three values at a time
     path = [str(Path(fewbody.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     env.pop("FEWBODY_OUTPUT_DIR", None)

@@ -204,8 +204,7 @@ def test_many_workers_under_fast_thread_switching_write_every_row(monkeypatch) -
 
 def test_cli_import_and_tiled_fields_leave_one_thread() -> None:
     # concurrent.futures and multiprocessing would cost import time and
-    # memory; a thread alive at the CSV writer's fork would be copied into
-    # its helpers half-way through whatever it was doing
+    # memory; the tiled passes end every thread they start
     code = (
         "import sys, threading\n"
         "import fewbody.cli\n"

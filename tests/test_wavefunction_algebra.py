@@ -474,3 +474,14 @@ def test_kernels_mixing_exact_and_complex_coefficients_add_as_complex() -> None:
     assert key == (("g",), ("g",))
     assert coef == complex(sqrt_rational(2)) * 0.5j + complex(sqrt_rational(2))
     assert (exact.scaled(1j) - exact.scaled(1j)).is_zero()
+
+
+def test_spin_trace_rejects_a_coefficient_whose_square_overflows() -> None:
+    # abs(C1) ** 2 overflows float; the error names C1, not an OverflowError
+    with pytest.raises(ValueError, match=r"\|C1\|\^2 is not finite"):
+        spin_trace(
+            1e200 * complex(0.9, 0.4),
+            assemble_state(3, "low", "fermion"),
+            1.0,
+            assemble_state(3, "high", "fermion"),
+        )
