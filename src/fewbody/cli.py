@@ -27,11 +27,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import density_maps, float_text, fock_engine, orbitals
-from .exact import ZERO, rational, sqrt_rational
+from .exact import rational, sqrt_rational
 from .fock_engine import Mode, StateVector, apply_mode_transform, beamsplitter
 from .spin_algebra import UP, family_3, family_4, recoupling_identity, spin_overlap
 from .wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
+    SpinPositionState,
     assemble_state,
     build_position_family,
     full_overlap,
@@ -689,8 +690,11 @@ def _prefactor_checks(n: int):
     """Emergent kernel coefficients against the spin-family Grams.
 
     Returns the diagonal collapse constant, the negative cross-Gram
-    entry, and the exact residual between the machine spin trace and
-    the Gram-weighted reconstruction of the mixed kernel.
+    entry, and the exact residual between the spin trace of the
+    assembled states and that of the index-paired families (spin member
+    i with projected position member i).  Both sides run spin_trace_pair,
+    so the residual checks only that assemble_state pairs the members by
+    index; it is no evidence about the trace itself.
     """
     assignment = GENERIC_ASSIGNMENT[n]
     psi1 = assemble_state(n, "low", "fermion", assignment, normalize=False)
@@ -714,23 +718,10 @@ def _prefactor_checks(n: int):
         key=lambda e: float(e),
     )
 
-    machine = spin_trace_pair(psi1, psi2).as_dict()
-    rebuilt: dict = {}
-    for i in range(3):
-        for j in range(3):
-            g = spin_overlap(chi1[j], chi0[i])
-            if g.is_zero():
-                continue
-            for ket, ca in fam0[i].terms:
-                for bra, cb in fam1[j].terms:
-                    key = (ket, bra)
-                    add = g * ca * cb.conjugate()
-                    rebuilt[key] = rebuilt.get(key, ZERO) + add
-    rebuilt = {k: v for k, v in rebuilt.items() if not v.is_zero()}
-    residual = 0.0
-    for key in set(machine) | set(rebuilt):
-        diff = machine.get(key, ZERO) - rebuilt.get(key, ZERO)
-        residual = max(residual, abs(complex(diff)))
+    paired0 = SpinPositionState(n, "fermion", tuple(zip(chi0, fam0)))
+    paired1 = SpinPositionState(n, "fermion", tuple(zip(chi1, fam1)))
+    diff = spin_trace_pair(psi1, psi2) - spin_trace_pair(paired0, paired1)
+    residual = max((abs(complex(c)) for _, c in diff.terms), default=0.0)
     return direct_value, cross_value, residual
 
 
@@ -801,6 +792,9 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
         _hom_input(config.statistics, config.convention, config.input)
         beamsplitter(config.theta, config.convention)
     elif verb == "density":
+        for key in ("name", "output_dir"):
+            if "\0" in getattr(config, key):
+                raise ValueError(f"{key} {getattr(config, key)!r} holds a NUL byte")
         if os.path.basename(config.name) != config.name:
             raise ValueError(f"name {config.name!r} must be a plain file name")
         out_dir = Path(config.output_dir)

@@ -50,6 +50,8 @@ class GridSpec:
             raise ValueError("grid ranges must be non-degenerate")
         if min(self.resolution) < 8:
             raise ValueError("resolution must be at least 8 per axis")
+        if not 0 < self.cell_area < math.inf:
+            raise ValueError(f"grid cell area {self.cell_area!r} is not a finite positive double")
 
     @property
     def cell_size(self) -> tuple[float, float]:
@@ -273,7 +275,7 @@ def antibunching_check(
     is broadcast to the grid.  Only grid points with rho(r) above
     DENSITY_FLOOR participate; the report carries the maximum ratio
     pair(r,r)/rho(r)^2 and where it occurs.  Strict inequality everywhere
-    marks the state antibunched.
+    marks the state antibunched; with no qualifying point it is not.
     """
     spec = spec or GridSpec()
     if isinstance(marginal, DensityGrid):
@@ -291,7 +293,7 @@ def antibunching_check(
     max_ratio = float(ratios[i, j])
     xs, ys = spec.axes()
     return AntibunchingReport(
-        antibunched=bool(max_ratio < 1.0),
+        antibunched=bool(mask.any() and max_ratio < 1.0),
         max_ratio=max_ratio,
         location=(float(xs[i]), float(ys[j])),
         points_checked=int(mask.sum()),

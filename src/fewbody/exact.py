@@ -46,22 +46,6 @@ class SqrtRational:
                     cleaned[rad] = coef
         self._terms = cleaned
 
-    @staticmethod
-    def from_rational(value: Rational) -> "SqrtRational":
-        return SqrtRational({1: Fraction(value)})
-
-    @staticmethod
-    def sqrt(value: Rational) -> "SqrtRational":
-        """Exact square root of a non-negative rational."""
-        v = Fraction(value)
-        if v < 0:
-            raise ValueError(f"sqrt of negative rational {v}")
-        if v == 0:
-            return SqrtRational()
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, m = _squarefree_split(v.numerator * v.denominator)
-        return SqrtRational({m: Fraction(s, v.denominator)})
-
     @property
     def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
@@ -130,7 +114,7 @@ class SqrtRational:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = SqrtRational.from_rational(other)
+            other = rational(other)
         if not isinstance(other, SqrtRational):
             return NotImplemented
         return self._terms == other._terms
@@ -164,17 +148,25 @@ def _coerce(value: "SqrtRational | Rational") -> SqrtRational:
     if isinstance(value, SqrtRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return SqrtRational.from_rational(value)
+        return rational(value)
     return NotImplemented
 
 
-ZERO = SqrtRational()
-ONE = SqrtRational.from_rational(1)
-
-
 def sqrt_rational(value: Rational) -> SqrtRational:
-    return SqrtRational.sqrt(value)
+    """Exact square root of a non-negative rational."""
+    v = Fraction(value)
+    if v < 0:
+        raise ValueError(f"sqrt of negative rational {v}")
+    if v == 0:
+        return SqrtRational()
+    # sqrt(p/q) = sqrt(p*q)/q
+    s, m = _squarefree_split(v.numerator * v.denominator)
+    return SqrtRational({m: Fraction(s, v.denominator)})
 
 
 def rational(value: Rational) -> SqrtRational:
-    return SqrtRational.from_rational(value)
+    return SqrtRational({1: Fraction(value)})
+
+
+ZERO = SqrtRational()
+ONE = rational(1)

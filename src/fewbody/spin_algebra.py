@@ -14,8 +14,10 @@ Coupled-state conventions (pinned by the identity tests):
 With these choices the three same-family states sum to the zero vector
 for both the pair-singlet and pair-triplet families.
 
-Clebsch-Gordan coefficients and coupled states are cached on their
-normalized arguments; every cached value is immutable.
+Both couplings are one rule, _couple: three spins are a lone spin coupled
+to a pair, four spins are two coupled pairs.  Clebsch-Gordan
+coefficients and coupled states are cached on their arguments; every
+cached value is immutable.
 """
 from __future__ import annotations
 
@@ -61,22 +63,17 @@ def _triangle_ok(a: Fraction, b: Fraction, c: Fraction) -> bool:
     return abs(a - b) <= c <= a + b and (a + b + c).denominator == 1
 
 
+@cache
 def clebsch_gordan(
     j1: SpinValue, m1: SpinValue, j2: SpinValue, m2: SpinValue, J: SpinValue, M: SpinValue
 ) -> SqrtRational:
     """Exact <j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
 
     Invalid triangles or projections give an exact zero rather than an
-    error, matching the usual tabulation convention.  Results are cached
-    on the normalized arguments, so 0.5 and Fraction(1, 2) share an entry.
+    error, matching the usual tabulation convention.  Equal numbers hash
+    equally, so 0.5 and Fraction(1, 2) share a cache entry.
     """
-    return _clebsch_gordan(*(_half(x) for x in (j1, m1, j2, m2, J, M)))
-
-
-@cache
-def _clebsch_gordan(
-    j1: Fraction, m1: Fraction, j2: Fraction, m2: Fraction, J: Fraction, M: Fraction
-) -> SqrtRational:
+    j1, m1, j2, m2, J, M = (_half(x) for x in (j1, m1, j2, m2, J, M))
     if m1 + m2 != M or not _triangle_ok(j1, j2, J):
         return ZERO
     if abs(m1) > j1 or abs(m2) > j2 or abs(M) > J:
@@ -192,46 +189,43 @@ def spin_overlap(a: SpinState, b: SpinState) -> SqrtRational:
     return a.inner(b, ZERO)
 
 
-def _pair_expansion(
-    n: int, pair: tuple[int, int], s: Fraction, m: Fraction
-) -> dict[tuple[tuple[int, Fraction], ...], SqrtRational]:
-    """Expansion of |s m> on the ordered particle pair, as partial assignments."""
-    a, b = pair
-    out: dict[tuple[tuple[int, Fraction], ...], SqrtRational] = {}
-    for ma in (UP, DOWN):
-        mb = m - ma
-        if mb not in (UP, DOWN):
+def _couple(a: dict, ja: SpinValue, b: dict, jb: SpinValue, J: SpinValue, M: SpinValue) -> dict:
+    """|J M> coupled from part a (spin ja) and part b (spin jb), a first.
+
+    The parts act on disjoint particles.  Each maps a projection m to its
+    expansion over partial assignments ((particle, m), ...) -> coefficient,
+    and so does the result, for the one projection M.
+    """
+    out: dict = {}
+    for ma, left in a.items():
+        if M - ma not in b:
             continue
-        c = clebsch_gordan(UP, ma, UP, mb, s, m)
-        if c.is_zero():
-            continue
-        key = ((a, ma), (b, mb))
-        out[key] = out.get(key, ZERO) + c
+        c = clebsch_gordan(ja, ma, jb, M - ma, J, M)
+        for ka, ca in left.items():
+            cca = c * ca
+            for kb, cb in b[M - ma].items():
+                key = tuple(sorted(ka + kb))
+                out[key] = out.get(key, ZERO) + cca * cb
     return out
 
 
-def _merge_partial(
-    left: dict, right: dict
-) -> dict[tuple[tuple[int, Fraction], ...], SqrtRational]:
-    out: dict[tuple[tuple[int, Fraction], ...], SqrtRational] = {}
-    for ka, ca in left.items():
-        for kb, cb in right.items():
-            key = tuple(sorted(ka + kb))
-            out[key] = out.get(key, ZERO) + ca * cb
-    return out
+def _one(particle: int) -> dict:
+    """A lone spin-1/2 particle as a part of _couple."""
+    return {m: {((particle, m),): ONE} for m in (UP, DOWN)}
 
 
-def _finalize(n: int, partial: dict) -> SpinState:
-    terms: dict[tuple[Fraction, ...], SqrtRational] = {}
-    for key, coef in partial.items():
-        assignment = dict(key)
-        if len(assignment) != n:
-            raise ValueError("incomplete particle assignment")
-        tup = tuple(assignment[i] for i in range(1, n + 1))
-        terms[tup] = terms.get(tup, ZERO) + coef
-    return SpinState.from_dict(n, terms)
+@cache
+def _pair(p: int, q: int, s: Fraction) -> dict:
+    """Particles p and q coupled, p first, to pair spin s: a part of _couple."""
+    return {m: _couple(_one(p), UP, _one(q), UP, s, m) for m in (-1, 0, 1) if abs(m) <= s}
 
 
+def _state(n: int, partial: dict) -> SpinState:
+    """The spin state of an expansion over full assignments of n particles."""
+    return SpinState.from_dict(n, {tuple(m for _, m in key): c for key, c in partial.items()})
+
+
+@cache
 def coupled_state_3(lone_particle: int, s_pair: SpinValue, m: SpinValue) -> SpinState:
     """|s_lone, s_pair; S=1/2, M=m> for three spin-1/2 particles.
 
@@ -246,25 +240,11 @@ def coupled_state_3(lone_particle: int, s_pair: SpinValue, m: SpinValue) -> Spin
     M = _half(m)
     if abs(M) != UP:
         raise ValueError(f"M = {m} invalid for S = 1/2")
-    return _coupled_state_3(lone_particle, s, M)
+    pair = _pair(*CYCLIC_PAIR[lone_particle], s)
+    return _state(3, _couple(_one(lone_particle), UP, pair, s, UP, M))
 
 
 @cache
-def _coupled_state_3(lone_particle: int, s: Fraction, M: Fraction) -> SpinState:
-    pair = CYCLIC_PAIR[lone_particle]
-    partial: dict = {}
-    for m_lone in (UP, DOWN):
-        m_p = M - m_lone
-        c = clebsch_gordan(UP, m_lone, s, m_p, UP, M)
-        if c.is_zero():
-            continue
-        lone_part = {((lone_particle, m_lone),): c}
-        pair_part = _pair_expansion(3, pair, s, m_p)
-        for key, coef in _merge_partial(lone_part, pair_part).items():
-            partial[key] = partial.get(key, ZERO) + coef
-    return _finalize(3, partial)
-
-
 def coupled_state_4(pairing: int, s_pairs: SpinValue) -> SpinState:
     """|s_p1, s_p2; S=0, M=0> for four spin-1/2 particles.
 
@@ -277,25 +257,7 @@ def coupled_state_4(pairing: int, s_pairs: SpinValue) -> SpinState:
     s = _half(s_pairs)
     if s not in (Fraction(0), Fraction(1)):
         raise ValueError(f"pair spin {s_pairs} not in {{0, 1}}")
-    return _coupled_state_4(p1, p2, s)
-
-
-@cache
-def _coupled_state_4(
-    p1: tuple[int, int], p2: tuple[int, int], s: Fraction
-) -> SpinState:
-    partial: dict = {}
-    m = -s
-    while m <= s:
-        c = clebsch_gordan(s, m, s, -m, 0, 0)
-        if not c.is_zero():
-            left = _pair_expansion(4, p1, s, m)
-            right = _pair_expansion(4, p2, s, -m)
-            scaled = {k: v * c for k, v in left.items()}
-            for key, coef in _merge_partial(scaled, right).items():
-                partial[key] = partial.get(key, ZERO) + coef
-        m += 1
-    return _finalize(4, partial)
+    return _state(4, _couple(_pair(*p1, s), s, _pair(*p2, s), s, 0, 0))
 
 
 def recoupling_identity(s: int) -> SqrtRational:

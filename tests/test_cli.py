@@ -474,12 +474,21 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--output-dir", "FILE"],
         ["density", "--output-dir", "FILE/sub"],
         ["density", "--set", "nx=100000", "--set", "ny=100000"],
+        ["density", "--set", "x_min=-1e308", "--set", "x_max=1e308"],
+        ["density", "--set", "x_min=-8e307", "--set", "x_max=8e307",
+         "--set", "y_min=-8e307", "--set", "y_max=8e307"],
+        ["density", "--set", "x_min=0", "--set", "x_max=1e-200",
+         "--set", "y_min=0", "--set", "y_max=1e-200"],
+        ["density", "--name", "a\0b"],
+        ["density", "--output-dir", "a\0b"],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
         "triangle-a=1e-9", "square-0.05", "square-0.01", "nan-conditioning-point", "coupling",
         "square-1e-9", "three-value-point", "one-value-point", "non-numeric-point",
         "output-dir-is-a-file", "output-dir-under-a-file", "grid-beyond-physical-memory",
+        "width-overflows", "area-overflows", "area-underflows", "nul-in-name",
+        "nul-in-output-dir",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
@@ -494,6 +503,10 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwa
         assert "conditioning_points" in err
     if "nx=100000" in argv:  # 160 GB per complex array, found before any is allocated
         assert "bytes of physical memory" in err
+    if any(a.endswith(("e308", "e307", "e-200")) for a in argv):
+        assert "cell area" in err
+    if any("\0" in a for a in argv):
+        assert "NUL byte" in err
     assert list(tmp_path.iterdir()) == [existing]
     assert existing.read_text() == "kept"
     assert [str(w.message) for w in recwarn] == []

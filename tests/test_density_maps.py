@@ -44,6 +44,10 @@ def test_grid_spec_validation() -> None:
             GridSpec(x_range=bad)
         with pytest.raises(ValueError, match="finite"):
             GridSpec(y_range=bad)
+    # the width overflows, the area overflows, the area underflows to 0
+    for xr, yr in (((-1e308, 1e308), (-6.0, 6.0)), ((-8e307, 8e307),) * 2, ((0.0, 1e-200),) * 2):
+        with pytest.raises(ValueError, match="cell area"):
+            GridSpec(xr, yr)
 
 
 def test_grid_axes_use_cell_midpoints() -> None:
@@ -222,6 +226,15 @@ def test_uncorrelated_benchmark_is_not_antibunched() -> None:
     report = antibunching_check(PairDensityKernel(product, mos), _hund_marginal(3, mos), COARSE)
     assert not report.antibunched
     assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
+
+
+def test_no_qualifying_point_is_not_antibunched() -> None:
+    # the grid lies far from every site: no marginal value passes the floor
+    mos = triangle_mos(2.0, 2.5)
+    far = GridSpec((1000.0, 1010.0), (1000.0, 1010.0), (8, 8))
+    report = antibunching_check(pair_density(3, mos), _hund_marginal(3, mos), far)
+    assert report.points_checked == 0
+    assert not report.antibunched
 
 
 def test_balance_residual_takes_a_huge_c1_at_unit_modulus() -> None:

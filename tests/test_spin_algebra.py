@@ -3,6 +3,7 @@
 The coefficients here are exact radicals; sympy.physics supplies an
 independent route for the same symbols.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from sympy.physics.wigner import wigner_6j
 
 from fewbody.exact import ONE, ZERO, SqrtRational, rational, sqrt_rational
 from fewbody.spin_algebra import (
+    CYCLIC_PAIR,
     DOWN,
+    PAIRINGS_4,
     UP,
     SpinState,
     clebsch_gordan,
@@ -26,6 +29,7 @@ from fewbody.spin_algebra import (
 )
 
 HALF = Fraction(1, 2)
+S_HALF = sympy.Rational(1, 2)
 
 
 def to_sympy(v: SqrtRational):
@@ -99,6 +103,65 @@ def test_wigner6j_matches_sympy() -> None:
 def test_recoupling_closure_vanishes_exactly() -> None:
     assert recoupling_identity(0) == ZERO
     assert recoupling_identity(1) == ZERO
+
+
+def _cg(j1, m1, j2, m2, J, M):
+    return CG(j1, m1, j2, m2, J, M).doit()
+
+
+def _oracle_3(lone: int, s: int, M) -> dict:
+    """lone (x) (p, q) -> (1/2, M), each pair coupled p first, from sympy's CG."""
+    p, q = CYCLIC_PAIR[lone]
+    out = {}
+    for ms in itertools.product((S_HALF, -S_HALF), repeat=3):
+        m = dict(zip((1, 2, 3), ms))
+        m_pair = m[p] + m[q]
+        if abs(m_pair) <= s and m[lone] + m_pair == M:
+            out[ms] = _cg(S_HALF, m[lone], s, m_pair, S_HALF, M) * _cg(
+                S_HALF, m[p], S_HALF, m[q], s, m_pair
+            )
+    return out
+
+
+def _oracle_4(pairing: int, s: int) -> dict:
+    """(a, b) (x) (c, d) -> (0, 0), each pair coupled to s, from sympy's CG."""
+    (a, b), (c, d) = PAIRINGS_4[pairing - 1]
+    out = {}
+    for ms in itertools.product((S_HALF, -S_HALF), repeat=4):
+        m = dict(zip((1, 2, 3, 4), ms))
+        m1, m2 = m[a] + m[b], m[c] + m[d]
+        if abs(m1) <= s and m1 + m2 == 0:
+            out[ms] = (
+                _cg(s, m1, s, m2, 0, 0)
+                * _cg(S_HALF, m[a], S_HALF, m[b], s, m1)
+                * _cg(S_HALF, m[c], S_HALF, m[d], s, m2)
+            )
+    return out
+
+
+def _assert_matches_oracle(state: SpinState, oracle: dict) -> None:
+    expected = {k: v for k, v in oracle.items() if sympy.simplify(v) != 0}
+    ours = {
+        tuple(sympy.Rational(x.numerator, x.denominator) for x in key): to_sympy(c)
+        for key, c in state.terms
+    }
+    assert ours.keys() == expected.keys()
+    for key, value in ours.items():
+        assert sympy.simplify(value - expected[key]) == 0, key
+
+
+@pytest.mark.parametrize("M", [HALF, -HALF], ids=["M=+1/2", "M=-1/2"])
+@pytest.mark.parametrize("s", [0, 1], ids=["s=0", "s=1"])
+@pytest.mark.parametrize("lone", [1, 2, 3], ids=["lone1", "lone2", "lone3"])
+def test_coupled_state_3_matches_sympy_coupling(lone, s, M) -> None:
+    oracle = _oracle_3(lone, s, sympy.Rational(M.numerator, M.denominator))
+    _assert_matches_oracle(coupled_state_3(lone, s, M), oracle)
+
+
+@pytest.mark.parametrize("s", [0, 1], ids=["s=0", "s=1"])
+@pytest.mark.parametrize("pairing", [1, 2, 3], ids=["pairing1", "pairing2", "pairing3"])
+def test_coupled_state_4_matches_sympy_coupling(pairing, s) -> None:
+    _assert_matches_oracle(coupled_state_4(pairing, s), _oracle_4(pairing, s))
 
 
 def test_pair_singlet_structure() -> None:
