@@ -32,11 +32,10 @@ from .fock_engine import Mode, StateVector, apply_mode_transform, beamsplitter
 from .spin_algebra import UP, family_3, family_4, recoupling_identity, spin_overlap
 from .wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
-    SpinPositionState,
     assemble_state,
-    build_position_family,
+    collapsed_trace,
     full_overlap,
-    project_out_symmetric_sum,
+    marginalize,
     spin_trace_pair,
 )
 
@@ -460,13 +459,13 @@ def run_density(config: ExperimentConfig) -> RunReport:
     other = density_maps.pair_density(
         n, mos, "boson" if config.statistics == "fermion" else "fermion"
     )
-    alt = density_maps.PairDensityKernel(
-        density_maps.ground_pair_kernel(n, config.statistics, "high"), mos
+    collapsed = density_maps.PairDensityKernel(
+        marginalize(collapsed_trace(assemble_state(n, "low", config.statistics)), (1, 2)), mos
     )
     rng = np.random.default_rng(0)
     pts = rng.uniform(-4.0, 4.0, size=(2000, 4))
     base = kernel((pts[:, 0], pts[:, 1]), (pts[:, 2], pts[:, 3]))
-    dual = alt((pts[:, 0], pts[:, 1]), (pts[:, 2], pts[:, 3]))
+    dual = collapsed((pts[:, 0], pts[:, 1]), (pts[:, 2], pts[:, 3]))
     cross = other((pts[:, 0], pts[:, 1]), (pts[:, 2], pts[:, 3]))
     dual_residual = float(np.max(np.abs(base - dual)))
     stats_residual = float(np.max(np.abs(base - cross)))
@@ -523,7 +522,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
                 )
             )
 
-        if config.geometry == "rectangle" and math.isclose(config.a, config.b, abs_tol=1e-12):
+        if config.geometry == "rectangle" and orbitals.is_square(config.a, config.b):
             combos = orbitals.degenerate_superpositions(mos["e"], mos["e'"])
             flux_plus = density_maps.probability_flux(combos["e+ie'"], spec)
             flux_minus = density_maps.probability_flux(combos["e-ie'"], spec)
@@ -689,23 +688,14 @@ def run_verify(config: ExperimentConfig | None = None) -> RunReport:
 def _prefactor_checks(n: int):
     """Emergent kernel coefficients against the spin-family Grams.
 
-    Returns the diagonal collapse constant, the negative cross-Gram
-    entry, and the exact residual between the spin trace of the
-    assembled states and that of the index-paired families (spin member
-    i with projected position member i).  Both sides run spin_trace_pair,
-    so the residual checks only that assemble_state pairs the members by
-    index; it is no evidence about the trace itself.
+    Returns the diagonal collapse constant G_ii - G_ij, the negative
+    cross-Gram entry, and the exact residual between the spin trace of the
+    generic low-coupled fermion state and its position-only collapse
+    (wavefunction_algebra.collapsed_trace: with position parts summing to
+    zero, sum_ij G_ij Phi_i Phi_j^+ reduces to (G_ii - G_ij) sum_i Phi_i Phi_i^+).
     """
-    assignment = GENERIC_ASSIGNMENT[n]
-    psi1 = assemble_state(n, "low", "fermion", assignment, normalize=False)
-    psi2 = assemble_state(n, "high", "fermion", assignment, normalize=False)
     chi0 = _spin_family(n, 0)
     chi1 = _spin_family(n, 1)
-    fam0 = project_out_symmetric_sum(build_position_family(n, 0, assignment))
-    fam1 = project_out_symmetric_sum(build_position_family(n, 1, assignment))
-
-    # diagonal collapse: sum_ij G00[i][j] Phi_i Phi_j^+ with rows summing
-    # to zero reduces to (diag - offdiag) * sum_i Phi_i Phi_i^+
     g00_diag = spin_overlap(chi0[0], chi0[0])
     g00_off = spin_overlap(chi0[1], chi0[0])
     direct_value = g00_diag - g00_off
@@ -718,9 +708,8 @@ def _prefactor_checks(n: int):
         key=lambda e: float(e),
     )
 
-    paired0 = SpinPositionState(n, "fermion", tuple(zip(chi0, fam0)))
-    paired1 = SpinPositionState(n, "fermion", tuple(zip(chi1, fam1)))
-    diff = spin_trace_pair(psi1, psi2) - spin_trace_pair(paired0, paired1)
+    psi = assemble_state(n, "low", "fermion", GENERIC_ASSIGNMENT[n])
+    diff = spin_trace_pair(psi, psi) - collapsed_trace(psi)
     residual = max((abs(complex(c)) for _, c in diff.terms), default=0.0)
     return direct_value, cross_value, residual
 
@@ -801,6 +790,13 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
         existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
         if not existing.is_dir():
             raise ValueError(f"output_dir {config.output_dir!r}: {existing} is not a directory")
+        # the longest file name a run writes (one digit counts the 3 or 4 site
+        # centers) and the staging directory of _staged_files (mkdtemp adds 8)
+        count = len(config.conditioning_points) or 4
+        limit = os.pathconf(existing, "PC_NAME_MAX")
+        for name in (f"{config.name}_conditional_{count}.csv", f".{out_dir.name}-XXXXXXXX"):
+            if len(os.fsencode(name)) > limit:
+                raise ValueError(f"name {name!r} exceeds the {limit}-byte limit in {existing}")
         _density_inputs(config)
         grid_bytes = config.nx * config.ny * 16  # one complex grid array
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -122,15 +122,13 @@ def single_density(
 
 
 @functools.cache  # a shared ReducedDensity is safe: it is frozen
-def ground_pair_kernel(
-    n: int, statistics: str = "fermion", coupling: str = "low"
-) -> ReducedDensity:
+def ground_pair_kernel(n: int, statistics: str = "fermion") -> ReducedDensity:
     """Two-coordinate marginal kernel of the collective ground state.
 
     Cached on the arguments as given: callers pass them positionally, so
     single_density and pair_density share one trace.
     """
-    state = assemble_state(n, coupling, statistics)
+    state = assemble_state(n, "low", statistics)
     return marginalize(spin_trace_pair(state, state), (1, 2))
 
 

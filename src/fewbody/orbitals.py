@@ -301,6 +301,11 @@ def rectangle_mos(a: float, b: float, width: float = 1.0) -> dict[str, Molecular
     return _checked_orthonormal(mos)
 
 
+def is_square(a: float, b: float) -> bool:
+    """Whether sides a, b make a square (e, e' degenerate): equal to 1e-12."""
+    return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12)
+
+
 def degenerate_superpositions(
     phi_e: MolecularOrbital, phi_ep: MolecularOrbital
 ) -> dict[str, MolecularOrbital]:
@@ -308,8 +313,7 @@ def degenerate_superpositions(
     geometry = phi_e.geometry
     if geometry.kind != RECTANGLE or phi_ep.geometry != geometry:
         raise ValueError("superpositions require one rectangle's orbital pair")
-    a, b = geometry.dimensions
-    if not math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12):
+    if not is_square(*geometry.dimensions):
         raise ValueError("degeneracy requires a square layout")
     ce = np.asarray(phi_e.coefficients)
     cp = np.asarray(phi_ep.coefficients)

@@ -184,7 +184,6 @@ def assemble_state(
     statistics: str,
     orbital_assignment: Sequence[str] | None = None,
     m: Fraction | float = UP,
-    normalize: bool = True,
 ) -> SpinPositionState:
     """Build the three-term spin (x) position superposition.
 
@@ -197,9 +196,7 @@ def assemble_state(
     """
     if orbital_assignment is not None:
         orbital_assignment = tuple(orbital_assignment)
-    return _assemble_state(
-        n, coupling, statistics, orbital_assignment, Fraction(m), normalize
-    )
+    return _assemble_state(n, coupling, statistics, orbital_assignment, Fraction(m))
 
 
 @cache
@@ -209,31 +206,19 @@ def _assemble_state(
     statistics: str,
     orbital_assignment: tuple[str, ...] | None,
     m: Fraction,
-    normalize: bool,
 ) -> SpinPositionState:
     if coupling not in ("low", "high"):
         raise ValueError(f"coupling {coupling!r} not in {{low, high}}")
     if statistics not in ("fermion", "boson"):
         raise ValueError(f"statistics {statistics!r} not in {{fermion, boson}}")
     s_pair = 0 if coupling == "low" else 1
-    spin_kind = 0 if coupling == "low" else 1
-    position_kind = spin_kind if statistics == "fermion" else 1 - spin_kind
-    if n == 3:
-        spins = family_3(s_pair, m)
-    elif n == 4:
-        spins = family_4(s_pair)
-    else:
-        raise ValueError(f"n = {n} not in {{3, 4}}")
-    positions = build_position_family(n, position_kind, orbital_assignment)
+    position_kind = s_pair if statistics == "fermion" else 1 - s_pair
+    positions = build_position_family(n, position_kind, orbital_assignment)  # checks n
     positions = project_out_symmetric_sum(positions)
-    if all(p.is_zero() for p in positions):
-        raise VanishingRepresentationError("projected position family vanished")
+    spins = family_3(s_pair, m) if n == 3 else family_4(s_pair)
     state = SpinPositionState(n, statistics, tuple(zip(spins, positions)))
-    if not normalize:
-        return state
+    # nonzero: the norm is the trace of collapsed_trace, (3/2) sum_i |Phi_i|^2
     norm_sq = full_overlap(state, state)
-    if norm_sq.is_zero():
-        raise VanishingRepresentationError("assembled state has zero norm")
     return state.scaled(ONE / sqrt_rational(norm_sq.as_rational()))
 
 
@@ -260,14 +245,30 @@ def spin_trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensit
     for chi_a, phi_a in a.pairs:
         for chi_b, phi_b in b.pairs:
             weight = spin_overlap(chi_b, chi_a)
-            if weight.is_zero():
-                continue
-            for ket, ca in phi_a.terms:
-                for bra, cb in phi_b.terms:
-                    key = (ket, bra)
-                    add = weight * ca * cb.conjugate()
-                    out[key] = out.get(key, ZERO) + add
+            if not weight.is_zero():
+                _add_outer(out, weight, phi_a, phi_b)
     return ReducedDensity.from_dict(tuple(range(1, a.n + 1)), out)
+
+
+def collapsed_trace(state: SpinPositionState) -> ReducedDensity:
+    """(3/2) sum_i Phi_i Phi_i^+ over the state's position parts; it reads no
+    spin overlap.  It equals spin_trace_pair(state, state) when the spin Gram
+    is (3/2) I - (1/2) J and the position parts sum to zero, as they do in
+    every assembled state: the J term drops out."""
+    out: dict = {}
+    weight = rational(Fraction(3, 2))
+    for _, phi in state.pairs:
+        _add_outer(out, weight, phi, phi)
+    return ReducedDensity.from_dict(tuple(range(1, state.n + 1)), out)
+
+
+def _add_outer(out: dict, weight: SqrtRational, phi_a, phi_b) -> None:
+    """Add weight * |phi_a><phi_b| to the kernel terms out, keyed (ket, bra)."""
+    for ket, ca in phi_a.terms:
+        weighted = weight * ca
+        for bra, cb in phi_b.terms:
+            key = (ket, bra)
+            out[key] = out.get(key, ZERO) + weighted * cb.conjugate()
 
 
 def spin_trace(

@@ -315,6 +315,17 @@ def test_density_square_writes_opposed_flux_fields(tmp_path: Path, capsys) -> No
     assert header == "# -6.0 6.0 -6.0 6.0 64 64"
 
 
+def test_density_near_square_is_a_rectangle(tmp_path: Path, capsys) -> None:
+    # sides 1e-9 apart: equal within a relative 1e-9, not within the square's 1e-12
+    argv = ["density", "--geometry", "rectangle", "--a", "2", "--b", "2.000000001"]
+    code = main([*argv, "--output-dir", str(tmp_path), *LOW_RES])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "RESULT: PASS" in captured.out
+    assert captured.err == ""
+    assert not list(tmp_path.glob("*flux*"))
+
+
 def test_density_balance_assertion(tmp_path: Path, capsys) -> None:
     code = main(
         [
@@ -481,6 +492,8 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
          "--set", "y_min=0", "--set", "y_max=1e-200"],
         ["density", "--name", "a\0b"],
         ["density", "--output-dir", "a\0b"],
+        ["density", "--name", "n" * 250],
+        ["density", "--output-dir", "TMP/" + "d" * 250],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
@@ -488,15 +501,16 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         "square-1e-9", "three-value-point", "one-value-point", "non-numeric-point",
         "output-dir-is-a-file", "output-dir-under-a-file", "grid-beyond-physical-memory",
         "width-overflows", "area-overflows", "area-underflows", "nul-in-name",
-        "nul-in-output-dir",
+        "nul-in-output-dir", "name-too-long", "output-dir-name-too-long",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
     out = tmp_path / "out"
     existing = tmp_path / "file"
     existing.write_text("kept")
-    # a case's own --output-dir comes later and wins; FILE names an existing file
-    rest = [arg.replace("FILE", str(existing)) for arg in argv[1:]]
+    # a case's own --output-dir comes later and wins; FILE names an existing
+    # file, TMP the directory holding it
+    rest = [arg.replace("FILE", str(existing)).replace("TMP", str(tmp_path)) for arg in argv[1:]]
     argv = [argv[0], "--output-dir", str(out), *rest]
     err = _assert_invalid_input(main(argv), capsys, out)
     if any(a.startswith("conditioning_points=") for a in argv):
@@ -507,6 +521,8 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwa
         assert "cell area" in err
     if any("\0" in a for a in argv):
         assert "NUL byte" in err
+    if any(len(a) > 200 for a in argv):  # the run's file or staging name is 260+ bytes
+        assert "-byte limit in" in err
     assert list(tmp_path.iterdir()) == [existing]
     assert existing.read_text() == "kept"
     assert [str(w.message) for w in recwarn] == []

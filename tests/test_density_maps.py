@@ -27,7 +27,13 @@ from fewbody.orbitals import (
     rectangle_mos,
     triangle_mos,
 )
-from fewbody.wavefunction_algebra import ReducedDensity, evaluate_density, marginalize
+from fewbody.wavefunction_algebra import (
+    ReducedDensity,
+    assemble_state,
+    evaluate_density,
+    marginalize,
+    spin_trace_pair,
+)
 
 COARSE = GridSpec(resolution=(96, 96))
 
@@ -150,7 +156,8 @@ def test_pair_kernel_routes_and_statistics_agree(n, mos) -> None:
     fermion = pair_density(n, mos, "fermion")(r1, r2)
     boson = pair_density(n, mos, "boson")(r1, r2)
     np.testing.assert_allclose(fermion, boson, atol=1e-12)
-    high = ground_pair_kernel(n, "fermion", "high")
+    state = assemble_state(n, "high", "fermion")
+    high = marginalize(spin_trace_pair(state, state), (1, 2))
     evaluator = {label: mo.evaluate for label, mo in mos.items()}
     dual = evaluate_density(high, evaluator, [r1, r2])
     np.testing.assert_allclose(fermion, dual, atol=1e-12)

@@ -1,11 +1,12 @@
 """Symmetrized position families, assembled states, spin-traced kernels."""
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from fewbody.exact import ONE, ZERO, rational, sqrt_rational
-from fewbody.spin_algebra import DOWN, UP, SpinState
+from fewbody.spin_algebra import DOWN, UP, SpinState, family_3, family_4
 from fewbody.symmetric_group import Permutation
 from fewbody.wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
@@ -15,6 +16,7 @@ from fewbody.wavefunction_algebra import (
     VanishingRepresentationError,
     assemble_state,
     build_position_family,
+    collapsed_trace,
     evaluate_density,
     full_overlap,
     marginalize,
@@ -49,11 +51,32 @@ def test_standard_member_expansion_kind_1() -> None:
     assert family[2].as_dict() == expected
 
 
+def _equality_patterns(n: int) -> list[tuple[str, ...]]:
+    """One assignment per partition of the n slots into equal-label blocks
+    (5 for n = 3, 15 for n = 4): the first slot of each new block takes
+    the next unused label.  A family depends on its assignment only
+    through this pattern."""
+    patterns = []
+    for digits in product(range(n), repeat=n):
+        if all(d <= max(digits[:i], default=-1) + 1 for i, d in enumerate(digits)):
+            patterns.append(tuple("abcd"[d] for d in digits))
+    return patterns
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("kind", [0, 1])
 def test_family_members_sum_to_zero(n: int, kind: int) -> None:
-    for assignment in (GENERIC_ASSIGNMENT[n], None):
-        family = build_position_family(n, kind, assignment)
+    """Every assignment either annihilates the family or gives members that
+    sum to zero: a (2,1) or (2,2) irrep holds no vector fixed by the
+    3-cycle.  So project_out_symmetric_sum never changes a family, and an
+    assembled state never has all its position parts zero."""
+    patterns = _equality_patterns(n)
+    assert len(patterns) == {3: 5, 4: 15}[n]
+    for assignment in patterns:
+        try:
+            family = build_position_family(n, kind, assignment)
+        except VanishingRepresentationError:
+            continue
         total = family[0] + family[1] + family[2]
         assert total.is_zero()
 
@@ -157,6 +180,49 @@ def test_simultaneous_transposition_statistics(
                 # unit norm plus overlap ±1 pins swapped = ±state exactly
                 assert full_overlap(swapped, swapped) == ONE
                 assert full_overlap(swapped, state) == rational(sign)
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("coupling", ["low", "high"])
+@pytest.mark.parametrize("assignment", ["ground", "generic"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_spin_trace_collapses_to_the_position_sum(n, assignment, coupling, statistics) -> None:
+    """Tr_spin |psi><psi| = (3/2) sum_i Phi_i Phi_i^+, entry by entry."""
+    orbitals = GENERIC_ASSIGNMENT[n] if assignment == "generic" else None
+    state = assemble_state(n, coupling, statistics, orbitals)
+    assert spin_trace_pair(state, state) == collapsed_trace(state)
+
+
+def _collapse_defect(state: SpinPositionState) -> ReducedDensity:
+    return spin_trace_pair(state, state) - collapsed_trace(state)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_collapse_fails_off_the_family_grams(n: int) -> None:
+    """The collapse needs position parts summing to zero and the spin Gram
+    (3/2) I - (1/2) J; break either and the kernels differ."""
+    state = assemble_state(n, "low", "fermion", GENERIC_ASSIGNMENT[n])
+    spins = [chi for chi, _ in state.pairs]
+    positions = [phi for _, phi in state.pairs]
+    high_spins = family_3(1, UP) if n == 3 else family_4(1)
+
+    def rebuilt(spins, positions):
+        return SpinPositionState(n, "fermion", tuple(zip(spins, positions)))
+
+    doubled = [positions[0].scaled(2), *positions[1:]]
+    long_spin = [spins[0].scaled(2), *spins[1:]]
+    mixed = [spins[0], spins[1], high_spins[2]]
+    for broken in (
+        rebuilt(spins, doubled),  # the position parts no longer sum to zero
+        rebuilt(long_spin, positions),  # a Gram diagonal entry is 4, not 1
+        rebuilt(mixed, positions),  # a cross-family entry replaces -1/2
+    ):
+        assert not _collapse_defect(broken).is_zero()
+    # G is unchanged by a permutation applied to its rows and columns alike,
+    # so pairing spin i with position i+1 leaves the trace collapsed: no
+    # diagonal trace can detect a shifted pairing
+    rotated = rebuilt(spins, positions[1:] + positions[:1])
+    assert _collapse_defect(rotated).is_zero()
 
 
 def test_pair_marginal_three_particles() -> None:
