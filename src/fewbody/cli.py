@@ -181,6 +181,11 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _max_deviation(a, b) -> float:
+    """Largest coefficient modulus of a - b, two sparse vectors of one space."""
+    return max((abs(complex(c)) for _, c in (a - b).terms), default=0.0)
+
+
 # -- hom ---------------------------------------------------------------
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -320,9 +325,7 @@ def run_hom(config: ExperimentConfig) -> RunReport:
     reference = _frozen_outcome(statistics, convention, config.input, config.theta)
     if reference is not None:
         expected, tolerance = reference
-        residual = max(
-            (abs(amp) for _, amp in (state_out - expected).terms), default=0.0
-        )
+        residual = _max_deviation(state_out, expected)
         assertions.append(
             AssertionResult(
                 f"reference outcome for {config.input}",
@@ -456,33 +459,16 @@ def run_density(config: ExperimentConfig) -> RunReport:
     )
 
     kernel = density_maps.pair_density(n, mos, config.statistics)
-    other = density_maps.pair_density(
-        n, mos, "boson" if config.statistics == "fermion" else "fermion"
-    )
-    collapsed = density_maps.PairDensityKernel(
-        marginalize(collapsed_trace(assemble_state(n, "low", config.statistics)), (1, 2)), mos
-    )
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-4.0, 4.0, size=(2000, 4))
-    base = kernel((pts[:, 0], pts[:, 1]), (pts[:, 2], pts[:, 3]))
-    dual = collapsed((pts[:, 0], pts[:, 1]), (pts[:, 2], pts[:, 3]))
-    cross = other((pts[:, 0], pts[:, 1]), (pts[:, 2], pts[:, 3]))
-    dual_residual = float(np.max(np.abs(base - dual)))
-    stats_residual = float(np.max(np.abs(base - cross)))
-    assertions.append(
-        AssertionResult(
-            "dual-construction pair kernels agree",
-            dual_residual <= 1e-10,
-            f"max deviation {dual_residual:.3e}",
+    other = "boson" if config.statistics == "fermion" else "fermion"
+    collapsed = marginalize(collapsed_trace(assemble_state(n, "low", config.statistics)), (1, 2))
+    for label, reference in (
+        ("dual-construction pair kernels agree", collapsed),
+        ("statistics-independent pair kernel", density_maps.ground_pair_kernel(n, other)),
+    ):
+        residual = _max_deviation(kernel.density, reference)
+        assertions.append(
+            AssertionResult(label, residual == 0.0, f"max deviation {residual:.3e}")
         )
-    )
-    assertions.append(
-        AssertionResult(
-            "statistics-independent pair kernel",
-            stats_residual <= 1e-10,
-            f"max deviation {stats_residual:.3e}",
-        )
-    )
 
     report = density_maps.antibunching_check(kernel, single, spec)
     assertions.append(
@@ -657,12 +643,11 @@ def run_verify(config: ExperimentConfig | None = None) -> RunReport:
             psi1 = assemble_state(n, "low", statistics, GENERIC_ASSIGNMENT[n])
             psi2 = assemble_state(n, "high", statistics, GENERIC_ASSIGNMENT[n])
             overlap = full_overlap(psi1, psi2)
-            residual = abs(complex(overlap))
             assertions.append(
                 AssertionResult(
                     f"coupling-scheme orthogonality (n={n}, {statistics})",
-                    residual <= 1e-12,
-                    f"|<1|2>| = {residual:.1e}",
+                    overlap.is_zero(),
+                    f"|<1|2>| = {abs(complex(overlap)):.1e}",
                 )
             )
 
@@ -709,8 +694,7 @@ def _prefactor_checks(n: int):
     )
 
     psi = assemble_state(n, "low", "fermion", GENERIC_ASSIGNMENT[n])
-    diff = spin_trace_pair(psi, psi) - collapsed_trace(psi)
-    residual = max((abs(complex(c)) for _, c in diff.terms), default=0.0)
+    residual = _max_deviation(spin_trace_pair(psi, psi), collapsed_trace(psi))
     return direct_value, cross_value, residual
 
 
@@ -809,7 +793,8 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one verb: exit 0 if every check passes, 1 if one fails, 2 on
-    invalid input (one line on stderr, nothing written)."""
+    invalid input or an unwritable output directory (one line on stderr,
+    nothing written)."""
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
@@ -819,8 +804,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     run = {"hom": run_hom, "density": run_density, "verify": run_verify}[args.verb]
     try:
         report = run(config)
-    except density_maps.VanishingMarginalError as exc:
-        # found while the maps are computed, before anything is written
+    except (density_maps.VanishingMarginalError, OSError) as exc:
+        # a vanishing marginal is found before anything is written; an
+        # OSError comes from an output directory the run cannot write into
         return _input_error(exc)
     print(report.render())
     return 0 if report.passed else 1

@@ -107,7 +107,7 @@ class DensityGrid:
 def single_density(
     n: int,
     mos: Mapping[str, MolecularOrbital],
-    spec: GridSpec | None = None,
+    spec: GridSpec,
 ) -> DensityGrid:
     """Spin-independent one-particle density of the collective ground state.
 
@@ -116,7 +116,6 @@ def single_density(
     so the marginal is (2/3)phi_g^2 + (1/3)phi_e^2 for three particles and
     (phi_g^2 + phi_e^2)/2 for four.
     """
-    spec = spec or GridSpec()
     kernel = PairDensityKernel(marginalize(ground_pair_kernel(n, "fermion"), (1,)), mos)
     return DensityGrid(spec, kernel(spec))
 
@@ -180,14 +179,13 @@ class VanishingMarginalError(ValueError):
 def conditional_density(
     kernel: PairDensityKernel,
     r0: Point,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
 ) -> DensityGrid:
     """Density of one particle given another fixed at r0.
 
     The slice pair(r, r0) is normalized to unit integral over the
     plotted grid.
     """
-    spec = spec or GridSpec()
     slice_values = np.asarray(kernel(spec, r0), dtype=float)
     marginal = float(slice_values.sum()) * spec.cell_area
     if marginal <= 1e-15:
@@ -263,7 +261,7 @@ class AntibunchingReport:
 def antibunching_check(
     kernel: PairDensityKernel,
     marginal: Callable | DensityGrid,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
 ) -> AntibunchingReport:
     """Compare pair(r, r) against the independent-events benchmark rho(r)^2.
 
@@ -275,7 +273,6 @@ def antibunching_check(
     pair(r,r)/rho(r)^2 and where it occurs.  Strict inequality everywhere
     marks the state antibunched; with no qualifying point it is not.
     """
-    spec = spec or GridSpec()
     if isinstance(marginal, DensityGrid):
         if marginal.spec != spec:
             raise ValueError("marginal density is sampled on another grid")
@@ -298,9 +295,8 @@ def antibunching_check(
     )
 
 
-def probability_flux(mo: MolecularOrbital, spec: GridSpec | None = None) -> DensityGrid:
+def probability_flux(mo: MolecularOrbital, spec: GridSpec) -> DensityGrid:
     """Probability current j = Im[phi* grad phi] of a molecular orbital."""
-    spec = spec or GridSpec()
     x, y = spec.open_mesh()
 
     def flux(i0, i1):

@@ -31,14 +31,9 @@ class SiteOrbital:
     """Normalized harmonic-oscillator ground state at a trap site."""
 
     center: tuple[float, float]
-    width: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError("width must be positive")
 
     def evaluate(self, x, y):
-        """exp(-r^2 / 2w^2) / (w sqrt(pi)) on x and y broadcast together.
+        """exp(-r^2 / 2) / sqrt(pi) on x and y broadcast together (unit width).
 
         Each coordinate is shifted and squared on its own values, so on an
         open mesh (x of shape (nx, 1), y of shape (1, ny)) those passes run
@@ -56,28 +51,26 @@ class SiteOrbital:
             dy = np.subtract(y, cy, dtype=float)
             dy **= 2
             phi = dx + dy
-        phi /= -(2.0 * self.width**2)
+        phi /= -2.0
         phi = np.exp(phi, out=phi if isinstance(phi, np.ndarray) else None)
-        phi /= self.width * math.sqrt(math.pi)
+        phi /= math.sqrt(math.pi)
         return phi
 
     def value_and_gradient(self, x, y):
         """phi(x, y) and its gradient, built from that one evaluation."""
         cx, cy = self.center
         phi = self.evaluate(x, y)
-        gx = -(np.asarray(x, dtype=float) - cx) / self.width**2 * phi
-        gy = -(np.asarray(y, dtype=float) - cy) / self.width**2 * phi
+        gx = -(np.asarray(x, dtype=float) - cx) * phi
+        gy = -(np.asarray(y, dtype=float) - cy) * phi
         return phi, gx, gy
 
 
 def overlap(site_a: SiteOrbital, site_b: SiteOrbital) -> float:
-    """Closed-form overlap of two equal-width Gaussian site orbitals."""
-    if site_a.width != site_b.width:
-        raise ValueError("overlap assumes identical trap widths")
+    """Closed-form overlap of two unit-width Gaussian site orbitals."""
     dx = site_a.center[0] - site_b.center[0]
     dy = site_a.center[1] - site_b.center[1]
     d2 = dx * dx + dy * dy
-    return math.exp(-d2 / (4.0 * site_a.width**2))
+    return math.exp(-d2 / 4.0)
 
 
 TRIANGLE = "triangle"
@@ -93,27 +86,27 @@ class Geometry:
     sites: tuple[tuple[str, SiteOrbital], ...]
 
     @staticmethod
-    def triangle(a: float, h: float, width: float = 1.0) -> "Geometry":
+    def triangle(a: float, h: float) -> "Geometry":
         """Isosceles triangle: apex A above the B-C base."""
         if a <= 0 or h <= 0:
             raise ValueError("triangle dimensions must be positive")
         sites = (
-            ("A", SiteOrbital((0.0, h), width)),
-            ("B", SiteOrbital((-a / 2.0, 0.0), width)),
-            ("C", SiteOrbital((a / 2.0, 0.0), width)),
+            ("A", SiteOrbital((0.0, h))),
+            ("B", SiteOrbital((-a / 2.0, 0.0))),
+            ("C", SiteOrbital((a / 2.0, 0.0))),
         )
         return Geometry(TRIANGLE, (a, h), sites)
 
     @staticmethod
-    def rectangle(a: float, b: float, width: float = 1.0) -> "Geometry":
+    def rectangle(a: float, b: float) -> "Geometry":
         """Rectangle of horizontal extent a and vertical extent b."""
         if a <= 0 or b <= 0:
             raise ValueError("rectangle dimensions must be positive")
         sites = (
-            ("A", SiteOrbital((-a / 2.0, b / 2.0), width)),
-            ("B", SiteOrbital((a / 2.0, b / 2.0), width)),
-            ("C", SiteOrbital((a / 2.0, -b / 2.0), width)),
-            ("D", SiteOrbital((-a / 2.0, -b / 2.0), width)),
+            ("A", SiteOrbital((-a / 2.0, b / 2.0))),
+            ("B", SiteOrbital((a / 2.0, b / 2.0))),
+            ("C", SiteOrbital((a / 2.0, -b / 2.0))),
+            ("D", SiteOrbital((-a / 2.0, -b / 2.0))),
         )
         return Geometry(RECTANGLE, (a, b), sites)
 
@@ -254,14 +247,14 @@ def _checked_orthonormal(
     return mos
 
 
-def triangle_mos(a: float, h: float, width: float = 1.0) -> dict[str, MolecularOrbital]:
+def triangle_mos(a: float, h: float) -> dict[str, MolecularOrbital]:
     """Ground and two excited orbitals of the isosceles triangle.
 
     phi_g is the all-plus combination; phi_e weights the apex against
     the base (its mixing factor enforces orthogonality to phi_g) and is
     normalized numerically; phi_e' is the odd base combination.
     """
-    geometry = Geometry.triangle(a, h, width)
+    geometry = Geometry.triangle(a, h)
     s_ab = overlap(geometry.site("A"), geometry.site("B"))
     s_ac = overlap(geometry.site("A"), geometry.site("C"))
     s_bc = overlap(geometry.site("B"), geometry.site("C"))
@@ -286,14 +279,14 @@ _RECTANGLE_PATTERNS = {
 }
 
 
-def rectangle_mos(a: float, b: float, width: float = 1.0) -> dict[str, MolecularOrbital]:
+def rectangle_mos(a: float, b: float) -> dict[str, MolecularOrbital]:
     """Four parity-pattern orbitals of the rectangle.
 
     Each pattern realizes one character row of the planar reflections:
     phi_g is even in both axes, phi_e odd across x=0, phi_e' odd across
     y=0, phi_e'' odd across both.
     """
-    geometry = Geometry.rectangle(a, b, width)
+    geometry = Geometry.rectangle(a, b)
     mos = {
         label: MolecularOrbital.normalized(label, geometry, pattern)
         for label, pattern in _RECTANGLE_PATTERNS.items()

@@ -200,7 +200,7 @@ def test_05_spin_trace_prefactors_emerge() -> None:
         assert direct == Fraction(3, 2)
         assert cross == -sqrt_rational(Fraction(3, 4))
         assert residual == 0.0
-    print("criterion 05: prefactors 3/2 and -sqrt(3)/2 exact for n = 3, 4; rebuild residual 0")
+    print("criterion 05: prefactors 3/2 and -sqrt(3)/2 exact for n = 3, 4; collapse residual 0")
 
 
 PRINTED_PAIR_KERNELS = {

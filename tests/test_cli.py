@@ -1,11 +1,13 @@
 """Configuration handling, CLI verbs, output files, determinism."""
+import errno
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fewbody import cli
+from fewbody import cli, density_maps
 from fewbody.cli import (
     AssertionResult,
     ExperimentConfig,
@@ -19,6 +21,8 @@ from fewbody.cli import (
     serialize_config,
 )
 from fewbody.density_maps import DensityGrid, GridSpec
+from fewbody.exact import rational
+from fewbody.wavefunction_algebra import ReducedDensity
 
 LOW_RES = ["--set", "nx=64", "--set", "ny=64"]
 
@@ -268,6 +272,45 @@ def test_density_verb_is_deterministic(tmp_path: Path, capsys) -> None:
     capsys.readouterr()
     for name in ("fig_single.csv", "fig_single.pgm", "fig_conditional_2.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def _nudged(density: ReducedDensity) -> ReducedDensity:
+    """density with its first diagonal coefficient raised by exactly 1e-13."""
+    key = next(key for key, _ in density.terms if key[0] == key[1])
+    return density + ReducedDensity.from_dict(density.space, {key: rational(Fraction(1, 10**13))})
+
+
+def _nudge_collapse(monkeypatch) -> None:
+    collapse = cli.collapsed_trace
+    monkeypatch.setattr(cli, "collapsed_trace", lambda state: _nudged(collapse(state)))
+
+
+def _nudge_boson_kernel(monkeypatch) -> None:
+    kernel = density_maps.ground_pair_kernel
+
+    def nudged(n, statistics="fermion"):
+        density = kernel(n, statistics)
+        return _nudged(density) if statistics == "boson" else density
+
+    monkeypatch.setattr(density_maps, "ground_pair_kernel", nudged)
+
+
+@pytest.mark.parametrize(
+    "nudge,label",
+    [
+        (_nudge_collapse, "dual-construction pair kernels agree"),
+        (_nudge_boson_kernel, "statistics-independent pair kernel"),
+    ],
+    ids=["dual", "statistics"],
+)
+def test_density_kernel_checks_fail_on_an_exact_difference(
+    nudge, label: str, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    # a fermion run compares its kernel with the collapse and the boson kernel
+    nudge(monkeypatch)
+    code = main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert f"[FAIL] {label}  (max deviation 1.000e-13)" in capsys.readouterr().out.splitlines()
 
 
 def test_density_rectangle_defaults_to_four_particles(tmp_path: Path, capsys) -> None:
@@ -562,6 +605,47 @@ def test_failed_density_run_adds_no_file_to_the_output_dir(
         main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(out)])
     capsys.readouterr()
     assert len(calls) == 3
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "from an earlier run"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no staging directory left
+
+
+def _mkdtemp_denied(monkeypatch) -> None:
+    def denied(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", kwargs.get("dir"))
+
+    monkeypatch.setattr(cli.tempfile, "mkdtemp", denied)
+
+
+def _third_csv_out_of_space(monkeypatch) -> None:
+    calls = []
+
+    def write(grid, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        _write_csv(grid, path)
+
+    monkeypatch.setattr(cli, "_write_csv", write)
+
+
+@pytest.mark.parametrize(
+    "fault", [_mkdtemp_denied, _third_csv_out_of_space], ids=["mkdtemp", "enospc"]
+)
+def test_unwritable_output_dir_exits_2_with_one_line(
+    fault, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("from an earlier run")
+    fault(monkeypatch)
+    code = main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("fewbody: error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
     assert [p.name for p in out.iterdir()] == ["kept.txt"]
     assert (out / "kept.txt").read_text() == "from an earlier run"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no staging directory left

@@ -81,14 +81,14 @@ def test_density_grid_rejects_negative_values() -> None:
     "n,mos", [(3, triangle_mos(2.0, 2.5)), (4, rectangle_mos(2.0, 2.5))]
 )
 def test_single_density_integrates_to_one(n: int, mos: dict) -> None:
-    grid = single_density(n, mos)
+    grid = single_density(n, mos, GridSpec())
     assert grid.integral() == pytest.approx(1.0, abs=1e-6)
     assert np.all(grid.values >= 0.0)
 
 
 def test_single_density_rejects_other_counts() -> None:
     with pytest.raises(ValueError):
-        single_density(5, triangle_mos(2.0, 2.5))
+        single_density(5, triangle_mos(2.0, 2.5), COARSE)
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])

@@ -43,13 +43,8 @@ def test_overlap_depends_only_on_distance() -> None:
     assert overlap(a, b) == pytest.approx(math.exp(-d2 / 4), abs=1e-15)
 
 
-def test_overlap_rejects_mixed_widths() -> None:
-    with pytest.raises(ValueError):
-        overlap(SiteOrbital((0, 0), 1.0), SiteOrbital((1, 0), 2.0))
-
-
 def test_site_orbital_normalization_and_gradient() -> None:
-    site = SiteOrbital((0.5, -0.25), width=1.0)
+    site = SiteOrbital((0.5, -0.25))
     assert quadrature_overlap(site, site) == pytest.approx(1.0, abs=1e-10)
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -243,7 +238,7 @@ def test_figure_mo_sets_never_need_the_fallback() -> None:
 def _reference_site(site: SiteOrbital, x, y):
     cx, cy = site.center
     r2 = (np.asarray(x, dtype=float) - cx) ** 2 + (np.asarray(y, dtype=float) - cy) ** 2
-    return np.exp(-r2 / (2.0 * site.width**2)) / (site.width * math.sqrt(math.pi))
+    return np.exp(-r2 / 2.0) / math.sqrt(math.pi)
 
 
 def _reference_mo(mo: MolecularOrbital, x, y):
@@ -262,8 +257,8 @@ def _reference_mo_gradient(mo: MolecularOrbital, x, y):
     for coeff, (_, site) in zip(mo.coefficients, mo.geometry.sites):
         cx, cy = site.center
         phi = _reference_site(site, x, y)
-        gx = -(np.asarray(x, dtype=float) - cx) / site.width**2 * phi
-        gy = -(np.asarray(y, dtype=float) - cy) / site.width**2 * phi
+        gx = -(np.asarray(x, dtype=float) - cx) * phi
+        gy = -(np.asarray(y, dtype=float) - cy) * phi
         gx_total = coeff * gx if gx_total is None else gx_total + coeff * gx
         gy_total = coeff * gy if gy_total is None else gy_total + coeff * gy
     if mo.is_real():
@@ -279,7 +274,7 @@ def _bits(value):
 def test_site_evaluation_matches_the_closed_form_bit_for_bit() -> None:
     """On arrays and on scalars: for a scalar `** 2` is pow, not a product,
     and the two round differently at about one point in a thousand."""
-    site = SiteOrbital((-1.0, 1.25), 1.3)
+    site = SiteOrbital((-1.0, 1.25))
     x, y = np.random.default_rng(7).uniform(-8.0, 8.0, (2, 20000))
     assert _bits(site.evaluate(x, y)) == _bits(_reference_site(site, x, y))
     for a, b in zip(x.tolist(), y.tolist()):
