@@ -102,46 +102,34 @@ def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key=value format; unknown keys are rejected."""
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in types:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, val)
-    return ExperimentConfig(**values)
+    """Parse the flat key=value format; `#` lines and blank lines are skipped."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line[:1] not in ("", "#")]
+    return apply_overrides(ExperimentConfig(), lines)
 
 
 def _coerce(key: str, val: str):
     if key == "conditioning_points":
         return _parse_points(val)
-    default = getattr(ExperimentConfig(), key)
-    if isinstance(default, int):
-        return int(val)
-    if isinstance(default, float):
-        return float(val)
-    return val
+    try:
+        return type(getattr(ExperimentConfig(), key))(val)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def apply_overrides(config: ExperimentConfig, pairs: Iterable[str]) -> ExperimentConfig:
+    """Apply key=value pairs in order, a later pair winning; unknown keys and
+    values of the wrong type raise ValueError.  Keys and values are stripped."""
+    names = {f.name for f in fields(ExperimentConfig)}
     updates = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not key=value")
-        key, _, val = pair.partition("=")
+        key, sep, val = pair.partition("=")
         key = key.strip()
-        if key not in {f.name for f in fields(ExperimentConfig)}:
+        if not sep:
+            raise ValueError(f"{pair!r} is not key=value")
+        if key not in names:
             raise ValueError(f"unknown config key {key!r}")
         updates[key] = _coerce(key, val.strip())
-    return replace(config, **updates) if updates else config
+    return replace(config, **updates)
 
 
 @dataclass(frozen=True)
@@ -403,24 +391,21 @@ def _write_pgm(grid: density_maps.DensityGrid, path: Path) -> None:
     path.write_bytes(header + img.tobytes())
 
 
-def _write_ppm(
-    grid: density_maps.DensityGrid, path: Path, marker: tuple[float, float] | None = None
-) -> None:
+def _write_ppm(grid: density_maps.DensityGrid, path: Path, marker: tuple[float, float]) -> None:
     gray = _image_rows(_grayscale(grid.values))
     rgb = np.stack([gray, gray, gray], axis=-1)
-    if marker is not None:
-        xs, ys = grid.spec.axes()
-        i = int(np.argmin(np.abs(xs - marker[0])))
-        j = int(np.argmin(np.abs(ys - marker[1])))
-        row = gray.shape[0] - 1 - j
-        col = i
-        arm = max(2, gray.shape[0] // 64)
-        for d in range(-arm, arm + 1):
-            r, c = row + d, col + d
-            if 0 <= r < rgb.shape[0]:
-                rgb[r, col] = (255, 0, 0)
-            if 0 <= c < rgb.shape[1]:
-                rgb[row, c] = (255, 0, 0)
+    xs, ys = grid.spec.axes()
+    i = int(np.argmin(np.abs(xs - marker[0])))
+    j = int(np.argmin(np.abs(ys - marker[1])))
+    row = gray.shape[0] - 1 - j
+    col = i
+    arm = max(2, gray.shape[0] // 64)
+    for d in range(-arm, arm + 1):
+        r, c = row + d, col + d
+        if 0 <= r < rgb.shape[0]:
+            rgb[r, col] = (255, 0, 0)
+        if 0 <= c < rgb.shape[1]:
+            rgb[row, c] = (255, 0, 0)
     header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
     path.write_bytes(header + rgb.tobytes())
 
@@ -560,19 +545,24 @@ def run_density(config: ExperimentConfig) -> RunReport:
 def _staged_files(out_dir: Path):
     """A new directory beside out_dir for a run to write its files into.
 
-    When the block completes, out_dir is created and the files move into it
-    (os.replace, on one filesystem); when it raises, they are removed with
-    the directory, so a failed run leaves no partial set in out_dir.
+    When the block completes, a new out_dir is this directory, renamed in
+    one step; into an existing out_dir the files move one at a time
+    (os.replace, on one filesystem).  When the block raises, the files are
+    removed with the directory, so a failed run leaves no partial set.
     """
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    # mkdtemp's private directory holds one made as out_dir.mkdir would make it
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent)) / "files"
     try:
+        stage.mkdir()
         yield stage
-        out_dir.mkdir(exist_ok=True)
-        for path in stage.iterdir():
-            os.replace(path, out_dir / path.name)
+        if out_dir.is_dir():
+            for path in stage.iterdir():
+                os.replace(path, out_dir / path.name)
+        else:
+            os.rename(stage, out_dir)
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        shutil.rmtree(stage.parent, ignore_errors=True)
 
 
 def _dimensions_text(config: ExperimentConfig) -> str:
@@ -702,17 +692,19 @@ def _prefactor_checks(n: int):
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig()
-    if getattr(args, "config", None):
-        config = parse_config(Path(args.config).read_text())
-    config = apply_overrides(config, getattr(args, "set", []) or [])
+    """Defaults < --config file < --set < FEWBODY_OUTPUT_DIR < flags, every
+    source a list of key=value pairs read by apply_overrides."""
+    config = parse_config(Path(args.config).read_text()) if args.config else ExperimentConfig()
+    pairs = list(args.set or [])
     env_dir = os.environ.get("FEWBODY_OUTPUT_DIR")
     if env_dir:
-        config = replace(config, output_dir=env_dir)
-    flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-    if not flags["output_dir"]:  # an empty --output-dir is ignored
-        flags["output_dir"] = None
-    return replace(config, **{key: value for key, value in flags.items() if value is not None})
+        pairs.append(f"output_dir={env_dir}")
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
+        # a flag not given adds nothing; an empty --output-dir is ignored
+        if value is not None and (value or f.name != "output_dir"):
+            pairs.append(f"{f.name}={value}")
+    return apply_overrides(config, pairs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -735,17 +727,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hom = sub.add_parser("hom", help="two-particle splitter interference")
     common(hom)
-    hom.add_argument("--statistics", choices=("boson", "fermion"))
+    hom.add_argument("--statistics")
     hom.add_argument("--input", help=", ".join([*HOM_INPUTS, *HOM_ALIASES]))
-    hom.add_argument("--convention", choices=("optical", "atomic"))
-    hom.add_argument("--theta", type=float)
+    hom.add_argument("--convention")
+    hom.add_argument("--theta")
 
     density = sub.add_parser("density", help="density maps and flux fields")
     common(density)
-    density.add_argument("--geometry", choices=("triangle", "rectangle"))
-    density.add_argument("--a", type=float)
-    density.add_argument("--h", type=float)
-    density.add_argument("--b", type=float)
+    density.add_argument("--geometry")
+    density.add_argument("--a")
+    density.add_argument("--h")
+    density.add_argument("--b")
 
     verify = sub.add_parser("verify", help="run the identity suite")
     common(verify)
@@ -768,7 +760,7 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
         for key in ("name", "output_dir"):
             if "\0" in getattr(config, key):
                 raise ValueError(f"{key} {getattr(config, key)!r} holds a NUL byte")
-        if os.path.basename(config.name) != config.name:
+        if not config.name or os.path.basename(config.name) != config.name:
             raise ValueError(f"name {config.name!r} must be a plain file name")
         out_dir = Path(config.output_dir)
         existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())

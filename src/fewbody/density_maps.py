@@ -121,12 +121,8 @@ def single_density(
 
 
 @functools.cache  # a shared ReducedDensity is safe: it is frozen
-def ground_pair_kernel(n: int, statistics: str = "fermion") -> ReducedDensity:
-    """Two-coordinate marginal kernel of the collective ground state.
-
-    Cached on the arguments as given: callers pass them positionally, so
-    single_density and pair_density share one trace.
-    """
+def ground_pair_kernel(n: int, statistics: str) -> ReducedDensity:
+    """Two-coordinate marginal kernel of the collective ground state."""
     state = assemble_state(n, "low", statistics)
     return marginalize(spin_trace_pair(state, state), (1, 2))
 
@@ -317,7 +313,7 @@ def local_maxima(grid: DensityGrid) -> list[Point]:
     Plateaus (cells tied with a neighbor, as happens on symmetric grids
     straddling a symmetry axis) are clustered; a cluster counts as one
     maximum when it dominates every cell adjacent to it, and is reported
-    at the centroid of its top-valued cells.
+    at the centroid of its cells.
     """
     if grid.values.ndim != 2:
         raise ValueError("local maxima need a scalar grid")
@@ -354,7 +350,8 @@ def local_maxima(grid: DensityGrid) -> list[Point]:
                     if 0 <= ii < nx and 0 <= jj < ny and flat[ii, jj] and not seen[ii, jj]:
                         seen[ii, jj] = True
                         stack.append((ii, jj))
-        peak = max(v[i, j] for i, j in cluster)
+        # adjacent dominant cells are each >= the other: the cluster is flat
+        peak = v[i0, j0]
         rim = -np.inf
         members = set(cluster)
         for i, j in cluster:
@@ -365,9 +362,8 @@ def local_maxima(grid: DensityGrid) -> list[Point]:
                         rim = max(rim, v[ii, jj])
         if rim >= peak:
             continue
-        top = [(i, j) for i, j in cluster if v[i, j] >= peak - 1e-15 * abs(peak)]
-        cx = float(np.mean([xs[i] for i, _ in top]))
-        cy = float(np.mean([ys[j] for _, j in top]))
+        cx = float(np.mean([xs[i] for i, _ in cluster]))
+        cy = float(np.mean([ys[j] for _, j in cluster]))
         results.append((cx, cy))
     return results
 

@@ -214,7 +214,6 @@ def _assemble_state(
     s_pair = 0 if coupling == "low" else 1
     position_kind = s_pair if statistics == "fermion" else 1 - s_pair
     positions = build_position_family(n, position_kind, orbital_assignment)  # checks n
-    positions = project_out_symmetric_sum(positions)
     spins = family_3(s_pair, m) if n == 3 else family_4(s_pair)
     state = SpinPositionState(n, statistics, tuple(zip(spins, positions)))
     # nonzero: the norm is the trace of collapsed_trace, (3/2) sum_i |Phi_i|^2

@@ -1,11 +1,21 @@
 """Configuration handling, CLI verbs, output files, determinism."""
+import contextlib
 import errno
+import io
 import math
+import os
+import stat
+import tempfile
+import warnings
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewbody import cli, density_maps
 from fewbody.cli import (
@@ -288,7 +298,7 @@ def _nudge_collapse(monkeypatch) -> None:
 def _nudge_boson_kernel(monkeypatch) -> None:
     kernel = density_maps.ground_pair_kernel
 
-    def nudged(n, statistics="fermion"):
+    def nudged(n, statistics):
         density = kernel(n, statistics)
         return _nudged(density) if statistics == "boson" else density
 
@@ -537,6 +547,12 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--output-dir", "a\0b"],
         ["density", "--name", "n" * 250],
         ["density", "--output-dir", "TMP/" + "d" * 250],
+        ["density", "--name", ""],
+        ["hom", "--statistics", "anyon"],
+        ["hom", "--convention", "foo"],
+        ["hom", "--theta", "abc"],
+        ["density", "--geometry", "hexagon"],
+        ["density", "--a", "abc"],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
@@ -544,7 +560,9 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         "square-1e-9", "three-value-point", "one-value-point", "non-numeric-point",
         "output-dir-is-a-file", "output-dir-under-a-file", "grid-beyond-physical-memory",
         "width-overflows", "area-overflows", "area-underflows", "nul-in-name",
-        "nul-in-output-dir", "name-too-long", "output-dir-name-too-long",
+        "nul-in-output-dir", "name-too-long", "output-dir-name-too-long", "empty-name",
+        "hom-statistics-anyon", "hom-convention-foo", "hom-theta-abc", "geometry-hexagon",
+        "a-abc",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
@@ -566,6 +584,8 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwa
         assert "NUL byte" in err
     if any(len(a) > 200 for a in argv):  # the run's file or staging name is 260+ bytes
         assert "-byte limit in" in err
+    if "abc" in argv:  # a flag's value is coerced, and named, like a --set value
+        assert f"{argv[-2][2:]}: could not convert string to float: 'abc'" in err
     assert list(tmp_path.iterdir()) == [existing]
     assert existing.read_text() == "kept"
     assert [str(w.message) for w in recwarn] == []
@@ -668,6 +688,31 @@ def test_density_run_moves_its_files_into_an_existing_output_dir(
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_density_run_renames_its_staging_directory_into_a_new_output_dir(
+    tmp_path: Path, capsys
+) -> None:
+    out = tmp_path / "nested" / "out"
+    assert main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    written = [Path(line.split()[-1]) for line in stdout.splitlines() if "wrote" in line]
+    assert sorted(out.iterdir()) == sorted(written)
+    sibling = tmp_path / "nested" / "sibling"
+    sibling.mkdir()
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(sibling.stat().st_mode)
+    assert sorted(p.name for p in out.parent.iterdir()) == ["out", "sibling"]
+
+
+def test_failed_rename_leaves_no_new_output_dir(tmp_path: Path, capsys, monkeypatch) -> None:
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link", str(dst))
+
+    monkeypatch.setattr(cli.os, "rename", cross_device)
+    out = tmp_path / "out"
+    code = main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(out)])
+    _assert_invalid_input(code, capsys, out)
+    assert list(tmp_path.iterdir()) == []  # no staging directory left
+
+
 def test_environment_variable_overrides_output_dir(
     tmp_path: Path, capsys, monkeypatch
 ) -> None:
@@ -701,3 +746,146 @@ def test_config_file_feeds_the_run(tmp_path: Path, capsys) -> None:
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "filed_single.csv").exists()
+
+
+def test_sources_apply_in_order(tmp_path: Path, monkeypatch) -> None:
+    """defaults < --config file < --set < FEWBODY_OUTPUT_DIR < flags"""
+    path = tmp_path / "run.cfg"
+    path.write_text("name = from_file\noutput_dir = file_dir\n")
+    monkeypatch.delenv("FEWBODY_OUTPUT_DIR", raising=False)
+    layers = [
+        (["--config", str(path)], "from_file", "file_dir"),
+        (["--set", "name=from_set", "--set", "output_dir=set_dir"], "from_set", "set_dir"),
+        ([], "from_set", "env_dir"),
+        (["--name", "from_flag", "--output-dir", "flag_dir"], "from_flag", "flag_dir"),
+    ]
+    argv = ["verify"]
+    for step, (more, name, output_dir) in enumerate(layers):
+        argv += more
+        if step == 2:
+            monkeypatch.setenv("FEWBODY_OUTPUT_DIR", "env_dir")
+        config = cli._load_config(cli._build_parser().parse_args(argv))
+        assert (config.name, config.output_dir) == (name, output_dir)
+
+
+@pytest.mark.parametrize(
+    "flag,pair",
+    [(["--a", "2.5"], "a=2.5"), (["--name", " padded "], "name= padded ")],
+    ids=["a", "stripped-name"],
+)
+def test_flag_and_set_give_equal_configs(flag: list[str], pair: str) -> None:
+    parser = cli._build_parser()
+    by_flag = cli._load_config(parser.parse_args(["density", *flag]))
+    by_set = cli._load_config(parser.parse_args(["density", "--set", pair]))
+    assert by_flag == by_set != ExperimentConfig()
+
+
+# -- every input, every source ---------------------------------------------
+
+JUNK = st.text(alphabet="ab01.,;-+eE_ /\\\0\t#=x", max_size=10)
+WILD_NUMBERS = st.one_of(
+    st.floats().map(repr),  # finite, non-finite, huge, tiny and negative
+    st.sampled_from(["1e400", "-1e400", "5e-324", "-0", "1_0", "0x1p3", " 2 "]),
+    JUNK,
+)
+
+
+def _number(low: float, high: float):
+    return st.one_of(st.floats(low, high).map(repr), WILD_NUMBERS)
+
+
+def _word(*valid: str):
+    return st.one_of(st.sampled_from(valid), JUNK)
+
+
+_POINTS = st.lists(st.tuples(_number(-3, 3), _number(-3, 3)), max_size=3).map(
+    lambda points: "; ".join(f"{x},{y}" for x, y in points)
+)
+_CELLS = st.one_of(  # at most 32 per axis, so a run stays small
+    st.integers(8, 32).map(str),
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["", "16.0", "1e1", "abc", " 16 ", "1_6"]),
+)
+VALUE_TEXT = {
+    "name": _word("experiment", "..", "a/b", "n" * 250),
+    "geometry": _word("triangle", "rectangle"),
+    "a": _number(0.5, 5),
+    "h": _number(0.5, 5),
+    "b": _number(0.5, 5),
+    "statistics": _word("fermion", "boson"),
+    "c1_magnitude": _number(-2, 2),
+    "c1_phase": _number(-7, 7),
+    "c2_magnitude": _number(-2, 2),
+    "c2_phase": _number(-7, 7),
+    "x_min": _number(-8, 0),
+    "x_max": _number(0, 8),
+    "y_min": _number(-8, 0),
+    "y_max": _number(0, 8),
+    "nx": _CELLS,
+    "ny": _CELLS,
+    "conditioning_points": st.one_of(_POINTS, JUNK),
+    # relative, so that every run writes inside its own directory; FILE is a file
+    "output_dir": st.sampled_from(["out", "a/b", "", " ", ".", "FILE", "FILE/sub", "d" * 250]),
+    "input": _word(*cli.HOM_INPUTS, *cli.HOM_ALIASES),
+    "convention": _word("optical", "atomic"),
+    "theta": _number(0, 3.2),
+}
+FLAGS = {
+    "hom": {"name", "output_dir", "statistics", "input", "convention", "theta"},
+    "density": {"name", "output_dir", "geometry", "a", "h", "b"},
+    "verify": {"name", "output_dir"},
+}
+
+
+def test_value_strategies_cover_every_key() -> None:
+    assert set(VALUE_TEXT) == {f.name for f in fields(ExperimentConfig)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(FLAGS)), st.data())
+def test_every_configuration_exits_0_1_or_2(verb: str, data) -> None:
+    """From any source, a value gives exit 0 or 1, or exit 2 with one
+    stderr line and nothing written; never a traceback or a warning."""
+    flagged = data.draw(st.sets(st.sampled_from(sorted(FLAGS[verb])), max_size=3), "flag keys")
+    others = sorted(set(VALUE_TEXT) - FLAGS[verb])
+    keys = flagged | data.draw(st.sets(st.sampled_from(others), max_size=3), "keys") | {"nx", "ny"}
+    config_lines, argv = [], [verb]
+    for key in sorted(keys):
+        value = data.draw(VALUE_TEXT[key], key).replace("FILE", "file")
+        sources = ["flag", "set", "config"] if key in flagged else ["set", "config"]
+        source = data.draw(st.sampled_from(sources), f"{key} source")
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        elif source == "set":
+            argv.append(f"--set={key}={value}")
+        else:
+            config_lines.append(f"{key} = {value}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        run_dir = stack.enter_context(tempfile.TemporaryDirectory())
+        stack.callback(os.chdir, os.getcwd())
+        os.chdir(run_dir)
+        stack.enter_context(mock.patch.dict(os.environ))
+        os.environ.pop("FEWBODY_OUTPUT_DIR", None)
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        Path("file").write_text("kept")
+        if config_lines:
+            Path("run.cfg").write_text("\n".join(config_lines) + "\n")
+            argv += ["--config", "run.cfg"]
+        before = sorted(os.listdir())
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage error
+                code = exc.code
+        after = sorted(os.listdir())
+    err = stderr.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("fewbody: error: ") and err.count("\n") == 1, err
+        assert stdout.getvalue() == ""
+        assert after == before
+    else:
+        assert err == ""
