@@ -18,7 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -256,13 +256,6 @@ def _hom_input(statistics: str, convention: str, name: str) -> StateVector:
     return _two_particle(statistics, convention, HOM_INPUTS[_canonical_input(name)])
 
 
-@functools.cache
-def _hom_input_summary(statistics: str, convention: str, name: str) -> tuple[str, float, float]:
-    """The named input's printed form, norm and bunching probability."""
-    state = _hom_input(statistics, convention, name)
-    return _format_state(state), state.norm(), _bunching_probability(state)
-
-
 def _frozen_outcome(
     statistics: str, convention: str, name: str, theta: float
 ) -> tuple[StateVector, float] | None:
@@ -305,7 +298,6 @@ def run_hom(config: ExperimentConfig) -> RunReport:
     statistics = config.statistics
     convention = config.convention
     state_in = _hom_input(statistics, convention, config.input)
-    text_in, norm_in, bunching_in = _hom_input_summary(statistics, convention, config.input)
     transform = beamsplitter(config.theta, convention)
     state_out = apply_mode_transform(state_in, transform)
 
@@ -321,7 +313,7 @@ def run_hom(config: ExperimentConfig) -> RunReport:
                 f"max amplitude deviation {residual:.3e}",
             )
         )
-    norm_drift = abs(state_out.norm() - norm_in)
+    norm_drift = abs(state_out.norm() - state_in.norm())
     assertions.append(
         AssertionResult("norm preserved", norm_drift <= 1e-12, f"drift {norm_drift:.3e}")
     )
@@ -332,12 +324,12 @@ def run_hom(config: ExperimentConfig) -> RunReport:
             ("statistics", statistics),
             ("convention", convention),
             ("theta", repr(config.theta)),
-            ("input", f"{config.input} = {text_in}"),
+            ("input", f"{config.input} = {_format_state(state_in)}"),
             ("output", _format_state(state_out)),
         ),
         assertions=tuple(assertions),
         summaries=(
-            ("bunching probability (input)", f"{bunching_in:.6f}"),
+            ("bunching probability (input)", f"{_bunching_probability(state_in):.6f}"),
             ("bunching probability (output)", f"{_bunching_probability(state_out):.6f}"),
         ),
     )
@@ -427,7 +419,10 @@ def _density_inputs(
 
 
 def run_density(config: ExperimentConfig) -> RunReport:
-    """Render the configured geometry's density maps and flux fields."""
+    """Render the configured geometry's density maps and flux fields.
+
+    Each conditional map is computed, written and freed in turn; a run that
+    fails part-way leaves nothing behind (see _staged_files)."""
     n, mos, spec = _density_inputs(config)
     assertions = []
     summaries = []
@@ -468,9 +463,6 @@ def run_density(config: ExperimentConfig) -> RunReport:
     points = config.conditioning_points or tuple(
         site.center for _, site in mos["g"].geometry.sites
     )
-    # every map before the first write: a conditioning point with a vanishing
-    # marginal then stops the run with nothing written
-    conditionals = [density_maps.conditional_density(kernel, r0, spec) for r0 in points]
     out_dir = Path(config.output_dir)
     with _staged_files(out_dir) as stage:
 
@@ -481,7 +473,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
         write(_write_csv, single, f"{config.name}_single.csv")
         write(_write_pgm, single, f"{config.name}_single.pgm")
         for idx, r0 in enumerate(points, 1):
-            cond = conditionals.pop(0)  # each map is freed once written
+            cond = density_maps.conditional_density(kernel, r0, spec)
             stem = f"{config.name}_conditional_{idx}"
             write(_write_csv, cond, f"{stem}.csv")
             write(_write_ppm, cond, f"{stem}.ppm", marker=r0)
@@ -492,6 +484,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
                     f"conditioned at ({r0[0]:g}, {r0[1]:g})",
                 )
             )
+            del cond  # the next map is computed with this one freed
 
         if config.geometry == "rectangle" and orbitals.is_square(config.a, config.b):
             combos = orbitals.degenerate_superpositions(mos["e"], mos["e'"])
@@ -543,16 +536,19 @@ def run_density(config: ExperimentConfig) -> RunReport:
 
 @contextmanager
 def _staged_files(out_dir: Path):
-    """A new directory beside out_dir for a run to write its files into.
+    """A new directory for a run to write its files into, made in the
+    nearest existing directory at or above out_dir's parent.
 
-    When the block completes, a new out_dir is this directory, renamed in
-    one step; into an existing out_dir the files move one at a time
-    (os.replace, on one filesystem).  When the block raises, the files are
-    removed with the directory, so a failed run leaves no partial set.
+    When the block completes, out_dir's missing parents are made and a new
+    out_dir is this directory, renamed in one step; into an existing out_dir
+    the files move one at a time (os.replace, on one filesystem).  When the
+    block raises, or the parents or the rename fail, the directory goes with
+    its files and the parents just made are removed: a failed run leaves
+    nothing behind.
     """
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    base = next(path for path in (out_dir.parent, *out_dir.parents) if path.is_dir())
     # mkdtemp's private directory holds one made as out_dir.mkdir would make it
-    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent)) / "files"
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=base)) / "files"
     try:
         stage.mkdir()
         yield stage
@@ -560,7 +556,15 @@ def _staged_files(out_dir: Path):
             for path in stage.iterdir():
                 os.replace(path, out_dir / path.name)
         else:
-            os.rename(stage, out_dir)
+            made = [path for path in out_dir.parents if not path.exists()]  # deepest first
+            try:
+                out_dir.parent.mkdir(parents=True, exist_ok=True)
+                os.rename(stage, out_dir)
+            except OSError:
+                for path in made:
+                    with suppress(OSError):
+                        path.rmdir()
+                raise
     finally:
         shutil.rmtree(stage.parent, ignore_errors=True)
 
@@ -701,8 +705,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         pairs.append(f"output_dir={env_dir}")
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
-        # a flag not given adds nothing; an empty --output-dir is ignored
-        if value is not None and (value or f.name != "output_dir"):
+        if value is not None:  # a flag not given adds nothing
             pairs.append(f"{f.name}={value}")
     return apply_overrides(config, pairs)
 
@@ -758,9 +761,12 @@ def _check_inputs(verb: str, config: ExperimentConfig) -> None:
         beamsplitter(config.theta, config.convention)
     elif verb == "density":
         for key in ("name", "output_dir"):
-            if "\0" in getattr(config, key):
-                raise ValueError(f"{key} {getattr(config, key)!r} holds a NUL byte")
-        if not config.name or os.path.basename(config.name) != config.name:
+            value = getattr(config, key)
+            if not value:
+                raise ValueError(f"{key} is empty")
+            if "\0" in value:
+                raise ValueError(f"{key} {value!r} holds a NUL byte")
+        if os.path.basename(config.name) != config.name:
             raise ValueError(f"name {config.name!r} must be a plain file name")
         out_dir = Path(config.output_dir)
         existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
@@ -797,7 +803,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report = run(config)
     except (density_maps.VanishingMarginalError, OSError) as exc:
-        # a vanishing marginal is found before anything is written; an
+        # both are found before any file reaches the output directory; an
         # OSError comes from an output directory the run cannot write into
         return _input_error(exc)
     print(report.render())

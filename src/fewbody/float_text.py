@@ -41,7 +41,8 @@ EXPONENT_BITS = 0x7FF << 52
 # words: "-0.000" and two spare bytes; the digits d0..d16, each followed by
 # a "." so that the decimal point can follow any of them; "e", the
 # exponent's sign and three digits; the separator.  The bytes a text does
-# not use are zeroed, then deleted.
+# not use are zeroed, then deleted.  A value that takes repr has its whole
+# slot zeroed, and its text (at most 24 bytes) and separator written in.
 WORD = np.dtype("<u8")
 SLOT = 48
 DIGIT, EXPONENT, SEPARATOR = 8, 42, 47
@@ -63,7 +64,6 @@ class Tables(NamedTuple):
     codes: np.ndarray  # layout code * COUNTS, per decpt in DECPTS
     suffixes: np.ndarray  # the last slot word's ".e", sign and exponent, per decpt
     masks: np.ndarray  # 0xFF on the slot bytes that each layout writes
-    lengths: np.ndarray  # bytes that each layout writes
 
 
 @functools.cache
@@ -98,7 +98,6 @@ def _tables() -> Tables:
         np.array(codes) * COUNTS,
         np.frombuffer(b"".join(suffixes), WORD),
         masks.view(np.dtype((np.void, SLOT))).ravel(),
-        np.count_nonzero(masks, axis=1),
     )
     for array in tables:
         array.flags.writeable = False
@@ -151,18 +150,12 @@ def join(values: np.ndarray, separators: np.ndarray) -> bytes:
     layout[fallback] = 0  # writes nothing
     # take gathers the 48-byte void rows faster than indexing does
     slots &= np.take(tables.masks, layout).view(WORD).reshape(slots.shape)
-    text = slots.tobytes().translate(None, b"\0")
-    if not fallback.any():
-        return text
-    lengths = tables.lengths[layout]
-    starts = (np.cumsum(lengths) - lengths).tolist()
-    pieces, done = [], 0
+    raw = memoryview(slots.ravel()).cast("B")  # the slots, byte by byte
     for i in np.flatnonzero(fallback).tolist():
-        pieces += [text[done : starts[i]], repr(float(values[i])).encode()]
-        pieces.append(separators[i : i + 1].tobytes())
-        done = starts[i]
-    pieces.append(text[done:])
-    return b"".join(pieces)
+        text = repr(float(values[i])).encode()
+        raw[SLOT * i : SLOT * i + len(text)] = text
+        raw[SLOT * i + SEPARATOR] = separators[i]
+    return slots.tobytes().translate(None, b"\0")
 
 
 def _shortest(magnitude: np.ndarray, tables: Tables):

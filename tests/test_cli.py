@@ -553,6 +553,9 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["hom", "--theta", "abc"],
         ["density", "--geometry", "hexagon"],
         ["density", "--a", "abc"],
+        ["density", "--output-dir", ""],
+        ["density", "--set", "statistics=anyon"],
+        ["density", "--geometry", "rectangle", "--b", "0"],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
@@ -562,7 +565,7 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         "width-overflows", "area-overflows", "area-underflows", "nul-in-name",
         "nul-in-output-dir", "name-too-long", "output-dir-name-too-long", "empty-name",
         "hom-statistics-anyon", "hom-convention-foo", "hom-theta-abc", "geometry-hexagon",
-        "a-abc",
+        "a-abc", "empty-output-dir", "density-statistics-anyon", "rectangle-b=0",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
@@ -584,6 +587,8 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwa
         assert "NUL byte" in err
     if any(len(a) > 200 for a in argv):  # the run's file or staging name is 260+ bytes
         assert "-byte limit in" in err
+    if argv[-2:] == ["--output-dir", ""]:  # not the working directory, nor the default
+        assert err == "fewbody: error: output_dir is empty\n"
     if "abc" in argv:  # a flag's value is coerced, and named, like a --set value
         assert f"{argv[-2][2:]}: could not convert string to float: 'abc'" in err
     assert list(tmp_path.iterdir()) == [existing]
@@ -702,15 +707,67 @@ def test_density_run_renames_its_staging_directory_into_a_new_output_dir(
     assert sorted(p.name for p in out.parent.iterdir()) == ["out", "sibling"]
 
 
-def test_failed_rename_leaves_no_new_output_dir(tmp_path: Path, capsys, monkeypatch) -> None:
+def _rename_across_devices(monkeypatch) -> None:
     def cross_device(src, dst):
         raise OSError(errno.EXDEV, "Invalid cross-device link", str(dst))
 
     monkeypatch.setattr(cli.os, "rename", cross_device)
+
+
+def test_failed_rename_leaves_no_new_output_dir(tmp_path: Path, capsys, monkeypatch) -> None:
+    _rename_across_devices(monkeypatch)
     out = tmp_path / "out"
     code = main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(out)])
     _assert_invalid_input(code, capsys, out)
     assert list(tmp_path.iterdir()) == []  # no staging directory left
+
+
+@pytest.mark.parametrize(
+    "fault,more",
+    [
+        (_third_csv_out_of_space, []),
+        (_rename_across_devices, []),
+        # the first conditional map is written before the last one fails
+        (None, ["--set", "conditioning_points=0,1; 60,60"]),
+    ],
+    ids=["enospc", "rename", "vanishing-marginal-at-the-last-point"],
+)
+def test_failed_run_into_new_parents_leaves_nothing(
+    fault, more, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    """The parents of a new output directory are made only at the commit,
+    and removed again when the rename fails."""
+    if fault is not None:
+        fault(monkeypatch)
+    out = tmp_path / "new" / "deep" / "out"
+    argv = ["density", "--set", "nx=16", "--set", "ny=16", *more, "--output-dir", str(out)]
+    _assert_invalid_input(main(argv), capsys, out)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_empty_output_dir_is_an_input_error(
+    source: str, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FEWBODY_OUTPUT_DIR", raising=False)
+    if source == "set":
+        more = ["--set", "output_dir="]
+    else:
+        Path("run.cfg").write_text("output_dir =\n")
+        more = ["--config", "run.cfg"]
+    before = sorted(os.listdir())
+    code = main(["density", "--set", "nx=16", "--set", "ny=16", *more])
+    assert _assert_invalid_input(code, capsys, tmp_path / "out") == (
+        "fewbody: error: output_dir is empty\n"
+    )
+    assert sorted(os.listdir()) == before  # nothing in the working directory
+
+
+def test_empty_environment_output_dir_is_ignored(monkeypatch) -> None:
+    monkeypatch.setenv("FEWBODY_OUTPUT_DIR", "")
+    config = cli._load_config(cli._build_parser().parse_args(["density"]))
+    assert config.output_dir == ExperimentConfig().output_dir
 
 
 def test_environment_variable_overrides_output_dir(

@@ -304,6 +304,13 @@ def test_divergence_of_linear_solenoidal_field_is_exact() -> None:
     flux = DensityGrid(spec, values)
     div = discrete_divergence(flux)
     assert np.max(np.abs(div)) == pytest.approx(0.0, abs=1e-14)
+    # a flux grid has no integral or maxima, a scalar grid no divergence
+    with pytest.raises(ValueError, match="vector field"):
+        flux.integral()
+    with pytest.raises(ValueError, match="scalar grid"):
+        local_maxima(flux)
+    with pytest.raises(ValueError, match="2-vector field"):
+        discrete_divergence(DensityGrid(spec, values[..., 0] ** 2))
 
 
 def test_divergence_of_lcao_flux_plateaus_off_zero() -> None:

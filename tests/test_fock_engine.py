@@ -221,6 +221,11 @@ def test_creators_anticommute_exactly() -> None:
 def test_pauli_exclusion_in_basis_state() -> None:
     state = basis_state(FERMION, [mode(1, "H"), mode(1, "H")])
     assert state.is_zero()
+    # an occupation state stores only what exclusion allows, and no empty mode
+    with pytest.raises(ValueError, match="fermionic occupancy exceeds 1"):
+        OccupationState.from_counts(FERMION, {mode(1, "H"): 2})
+    with pytest.raises(ValueError, match="must be positive"):
+        OccupationState(BOSON, ((mode(1, "H"), 0),))
 
 
 def test_boson_ladder_amplitudes() -> None:

@@ -77,6 +77,8 @@ def test_clebsch_gordan_invalid_inputs_are_zero() -> None:
     assert clebsch_gordan(HALF, HALF, HALF, HALF, 0, 0) == ZERO
     assert clebsch_gordan(HALF, HALF, HALF, DOWN, 2, 0) == ZERO
     assert clebsch_gordan(1, 0, 0, 0, 1, 1) == ZERO
+    assert clebsch_gordan(1, 2, 1, -1, 1, 1) == ZERO  # |m1| > j1
+    assert clebsch_gordan(1, HALF, HALF, 0, Fraction(3, 2), HALF) == ZERO  # j1 - m1 = 1/2
 
 
 def test_wigner6j_matches_sympy() -> None:
@@ -309,6 +311,8 @@ def test_invalid_arguments_raise() -> None:
         coupled_state_4(((1, 3), (2, 4)), 0)
     with pytest.raises(ValueError):
         coupled_state_4(((1, 2), (3, 4)), 0)  # an index, not the splitting
+    with pytest.raises(ValueError):
+        coupled_state_4(1, 2)  # pair spin 2
 
 
 def test_clebsch_gordan_cache_key_ignores_argument_type() -> None:

@@ -15,6 +15,8 @@ def test_permutation_basics() -> None:
     assert p.compose(Permutation((3, 1, 2))) == Permutation.identity(3)
     assert p.sign() == 1
     assert Permutation.from_mapping(3, {1: 2, 2: 1}).sign() == -1
+    with pytest.raises(ValueError, match="size mismatch"):
+        p.compose(Permutation.identity(4))
 
 
 def test_apply_to_assignment_moves_values_with_coordinates() -> None:
@@ -22,6 +24,8 @@ def test_apply_to_assignment_moves_values_with_coordinates() -> None:
     # value at coordinate c moves to coordinate p(c)
     assert p.apply_to_assignment(("a", "b", "c")) == ("c", "a", "b")
     assert Permutation.identity(3).apply_to_assignment((1, 2, 3)) == (1, 2, 3)
+    with pytest.raises(ValueError, match="length mismatch"):
+        p.apply_to_assignment(("a", "b"))
 
 
 def test_from_mapping_partial() -> None:
@@ -75,6 +79,8 @@ def test_nonstandard_tableau_rejected() -> None:
         build_symmetrizer(((2, 1), (3,)))
     with pytest.raises(ValueError):
         build_symmetrizer(((1, 2), (4,)))
+    with pytest.raises(ValueError):  # rows increase, the first column does not
+        build_symmetrizer(((2, 3), (1,)))
     build_symmetrizer(((1, 3), (2,)))
 
 

@@ -1,5 +1,6 @@
 """Every name a fewbody module imports is used in that module, and every
-name a module defines at top level is named somewhere else."""
+name a module defines at top level, and every method of its top-level
+classes, is named somewhere else."""
 import ast
 import re
 from pathlib import Path
@@ -39,28 +40,39 @@ def test_module_has_no_unused_import(path: Path) -> None:
     assert unused_imports(path.read_text()) == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(module: str, tree: ast.Module):
+    """(qualified name, node) of each function, class and constant defined
+    at top level, and of each method of a top-level class other than a
+    dunder."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((f"{module}.{t.id}", node) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not re.fullmatch(r"__\w+__", item.name):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
 def dead_names(sources: dict[str, str], searched: list[str]) -> list[str]:
-    """module.name of each function, class and constant that a module of
-    sources (name -> text) defines at top level and that no text of searched
-    names outside the lines of its own definition."""
+    """The qualified name of each definition (see definitions) of a module
+    of sources (name -> text) whose name no text of searched names outside
+    the lines of that definition."""
     dead = []
     for module, source in sources.items():
         lines = source.splitlines()
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
+        for qualified, node in definitions(module, ast.parse(source)):
             first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
             own = "\n".join(lines[first - 1 : node.end_lineno])
-            for name in names:
-                word = re.compile(rf"\b{re.escape(name)}\b")
-                uses = sum(len(word.findall(text)) for text in searched)
-                if uses == len(word.findall(own)):
-                    dead.append(f"{module}.{name}")
+            word = re.compile(rf"\b{re.escape(qualified.rsplit('.', 1)[1])}\b")
+            uses = sum(len(word.findall(text)) for text in searched)
+            if uses == len(word.findall(own)):
+                dead.append(qualified)
     return dead
 
 
@@ -68,11 +80,15 @@ def test_dead_name_guard_flags_an_unnamed_definition() -> None:
     source = (
         "LIMIT = 3\nUNREAD = (1, 2)\n"
         "@decorate\ndef helper(x):\n    return helper(x - 1) if x else LIMIT\n"
-        "class Holder:\n    pass\n"
+        "class Holder:\n    def __init__(self):\n        self.size = 0\n\n"
+        "    @property\n    def read(self):\n        return self.size\n\n"
+        "    def unread(self):\n        return self.read\n"
     )
     elsewhere = "from m import helper, Holder\n"
-    assert dead_names({"m": source}, [source, elsewhere]) == ["m.UNREAD"]
-    assert dead_names({"m": source}, [source]) == ["m.UNREAD", "m.helper", "m.Holder"]
+    assert dead_names({"m": source}, [source, elsewhere]) == ["m.UNREAD", "m.Holder.unread"]
+    assert dead_names({"m": source}, [source]) == [
+        "m.UNREAD", "m.helper", "m.Holder", "m.Holder.unread"
+    ]
 
 
 def test_every_module_level_name_is_named_outside_its_definition() -> None:

@@ -99,6 +99,13 @@ def test_symmetric_projection_rejects_unrelated_functions() -> None:
         project_out_symmetric_sum([a, b])
 
 
+def test_position_family_arguments_are_checked() -> None:
+    with pytest.raises(ValueError, match="kind = 2"):
+        build_position_family(3, 2)
+    with pytest.raises(ValueError, match="need 4 orbital labels, got 3"):
+        build_position_family(4, 0, ("g", "g", "e"))
+
+
 def test_fully_repeated_assignment_vanishes_for_kind_0() -> None:
     with pytest.raises(VanishingRepresentationError):
         build_position_family(3, 0, ("a", "a", "a"))
@@ -302,6 +309,10 @@ def test_evaluate_density_with_constant_orbitals() -> None:
     value = evaluate_density(kernel, evaluator, [(0.0, 0.0), (0.0, 0.0)])
     # 1/3*g^4 + (1/3 + 1/3 - 1/3)*g^2 e^2 with g=1, e=2
     assert value == pytest.approx(5.0 / 3.0, abs=1e-15)
+    with pytest.raises(ValueError, match="one point per kept coordinate"):
+        evaluate_density(kernel, evaluator, [(0.0, 0.0)])
+    empty = ReducedDensity.from_dict((1, 2), {})
+    assert evaluate_density(empty, evaluator, [(0.0, 0.0), (0.0, 0.0)]) == 0.0
 
 
 def test_evaluate_density_drops_roundoff_imaginary_part() -> None:
@@ -342,6 +353,8 @@ def test_superposition_statistics_mismatch_rejected() -> None:
         spin_trace(1.0, psi_f, 1.0, psi_b)
     with pytest.raises(ValueError, match="particle-count mismatch"):
         spin_trace(1.0, psi_f, 1.0, assemble_state(4, "low", "fermion"))
+    with pytest.raises(ValueError, match="particle-count mismatch"):
+        full_overlap(psi_f, assemble_state(4, "low", "fermion"))
 
 
 def test_assemble_state_cache_key_ignores_argument_type() -> None:
