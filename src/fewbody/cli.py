@@ -11,7 +11,6 @@ are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
@@ -668,83 +667,82 @@ def _prefactor_checks(n: int):
     """Emergent kernel coefficients against the spin-family Grams.
 
     Returns the diagonal collapse constant G_ii - G_ij, the negative
-    cross-Gram entry, and the exact residual between the spin trace of the
-    generic low-coupled fermion state and its position-only collapse
-    (wavefunction_algebra.collapsed_trace: with position parts summing to
-    zero, sum_ij G_ij Phi_i Phi_j^+ reduces to (G_ii - G_ij) sum_i Phi_i Phi_i^+).
+    cross-Gram entry, and the largest exact deviation of: each family Gram
+    from (3/2)I - (1/2)J; the cross Gram <chi1_j|chi0_i> from
+    s(sqrt3/2)(P - P^T), P the cyclic shift (P[i][i+1 mod 3] = 1), s = +1
+    or -1; the spin trace of the generic low-coupled fermion state from
+    its position-only collapse (collapsed_trace: with these Grams and
+    position parts summing to zero, sum_ij G_ij Phi_i Phi_j^+ reduces to
+    (G_ii - G_ij) sum_i Phi_i Phi_i^+).
     """
     chi0 = _spin_family(n, 0)
     chi1 = _spin_family(n, 1)
-    g00_diag = spin_overlap(chi0[0], chi0[0])
-    g00_off = spin_overlap(chi0[1], chi0[0])
-    direct_value = g00_diag - g00_off
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    grams = [[spin_overlap(chi[j], chi[i]) for i, j in cells] for chi in (chi0, chi1)]
+    cross = [spin_overlap(chi1[j], chi0[i]) for i, j in cells]
+    family = [rational(Fraction(3 * (i == j) - 1, 2)) for i, j in cells]
+    shift = [sqrt_rational(3) / 2 * (0, 1, -1)[(j - i) % 3] for i, j in cells]
 
-    cross_entries = [
-        spin_overlap(chi1[j], chi0[i]) for i in range(3) for j in range(3)
-    ]
-    cross_value = min(
-        (entry for entry in cross_entries if not entry.is_zero()),
-        key=lambda e: float(e),
-    )
+    direct_value = grams[0][0] - grams[0][1]
+    cross_value = min((entry for entry in cross if not entry.is_zero()), key=float)
 
     psi = assemble_state(n, "low", "fermion", GENERIC_ASSIGNMENT[n])
-    residual = _max_deviation(spin_trace_pair(psi, psi), collapsed_trace(psi))
-    return direct_value, cross_value, residual
+    collapse_off = _max_deviation(spin_trace_pair(psi, psi), collapsed_trace(psi))
+    family_off = max(abs(float(g - e)) for gram in grams for g, e in zip(gram, family))
+    cross_off = min(max(abs(float(c - e * s)) for c, e in zip(cross, shift)) for s in (1, -1))
+    return direct_value, cross_value, max(collapse_off, family_off, cross_off)
 
 
 # -- entry point -------------------------------------------------------
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults < --config file < --set < FEWBODY_OUTPUT_DIR < flags, every
-    source a list of key=value pairs read by apply_overrides."""
-    config = parse_config(Path(args.config).read_text()) if args.config else ExperimentConfig()
-    pairs = list(args.set or [])
+#: each verb's dedicated flags, as config keys; --config and --set are on every verb
+VERB_FLAGS = {
+    "hom": ("name", "output_dir", "statistics", "input", "convention", "theta"),
+    "density": ("name", "output_dir", "geometry", "a", "h", "b"),
+    "verify": ("name", "output_dir"),
+}
+HELP = "\n".join([
+    "usage: fewbody VERB [--config FILE] [--set KEY=VALUE]... [--FLAG VALUE | --FLAG=VALUE]...",
+    *(f"  {verb}: --{' --'.join(keys)}".replace("_", "-") for verb, keys in VERB_FLAGS.items()),
+    "statistics: fermion, boson; convention: optical, atomic; geometry: triangle, rectangle",
+    "hom inputs: " + ", ".join([*HOM_INPUTS, *HOM_ALIASES]),
+])
+
+
+def _read_argv(argv: Sequence[str]) -> tuple[str, ExperimentConfig | None]:
+    """The verb and its configuration, None when -h or --help asks for HELP.
+
+    `--key value` and `--key=value` give one pair (the token after a flag is
+    its value, whatever it starts with; a repeated flag's last value wins),
+    and apply_overrides reads defaults < --config file < --set <
+    FEWBODY_OUTPUT_DIR < flags.  Any other token raises ValueError."""
+    verb, *rest = argv or [""]
+    if verb in ("-h", "--help"):
+        return verb, None
+    if verb not in VERB_FLAGS:
+        raise ValueError(f"expected a verb ({', '.join(VERB_FLAGS)}), not {verb!r}")
+    keys = {"--" + k.replace("_", "-"): k for k in ("config", "set", *VERB_FLAGS[verb])}
+    config_file, sets, flags = "", [], {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return verb, None
+        flag, sep, value = token.partition("=")
+        if flag not in keys:
+            raise ValueError(f"{verb} does not take {token!r}")
+        if not sep and (value := next(tokens, None)) is None:
+            raise ValueError(f"{flag} needs a value")
+        if flag == "--config":
+            config_file = value
+        elif flag == "--set":
+            sets.append(value)
+        else:
+            flags[keys[flag]] = value
+    config = parse_config(Path(config_file).read_text()) if config_file else ExperimentConfig()
     env_dir = os.environ.get("FEWBODY_OUTPUT_DIR")
-    if env_dir:
-        pairs.append(f"output_dir={env_dir}")
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:  # a flag not given adds nothing
-            pairs.append(f"{f.name}={value}")
-    return apply_overrides(config, pairs)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fewbody",
-        description="Few-body interference and density-map calculations.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override one configuration key (repeatable)",
-        )
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--name")
-
-    hom = sub.add_parser("hom", help="two-particle splitter interference")
-    common(hom)
-    hom.add_argument("--statistics")
-    hom.add_argument("--input", help=", ".join([*HOM_INPUTS, *HOM_ALIASES]))
-    hom.add_argument("--convention")
-    hom.add_argument("--theta")
-
-    density = sub.add_parser("density", help="density maps and flux fields")
-    common(density)
-    density.add_argument("--geometry")
-    density.add_argument("--a")
-    density.add_argument("--h")
-    density.add_argument("--b")
-
-    verify = sub.add_parser("verify", help="run the identity suite")
-    common(verify)
-    return parser
+    env = [f"output_dir={env_dir}"] if env_dir else []
+    return verb, apply_overrides(config, [*sets, *env, *(f"{k}={v}" for k, v in flags.items())])
 
 
 def _check_inputs(verb: str, config: ExperimentConfig) -> None:
@@ -793,13 +791,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one verb: exit 0 if every check passes, 1 if one fails, 2 on
     invalid input or an unwritable output directory (one line on stderr,
     nothing written)."""
-    args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        _check_inputs(args.verb, config)
+        verb, config = _read_argv(sys.argv[1:] if argv is None else argv)
+        if config is None:
+            print(HELP)
+            return 0
+        _check_inputs(verb, config)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    run = {"hom": run_hom, "density": run_density, "verify": run_verify}[args.verb]
+    run = {"hom": run_hom, "density": run_density, "verify": run_verify}[verb]
     try:
         report = run(config)
     except (density_maps.VanishingMarginalError, OSError) as exc:

@@ -5,6 +5,8 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -242,6 +244,21 @@ def test_verify_reports_exact_prefactors() -> None:
         assert entry.passed
         assert "1.500000" in entry.detail
         assert "-0.866025" in entry.detail
+
+
+def test_verify_fails_on_a_family_gram_entry_the_prefactors_do_not_read(capsys) -> None:
+    # family 0's (2, 1) entry enters neither G_00 - G_01 nor the cross Gram
+    chi0 = cli._spin_family(3, 0)
+    real = cli.spin_overlap
+
+    def overlap(a, b):
+        return real(a, b) + (rational(Fraction(1, 10)) if a is chi0[1] and b is chi0[2] else 0)
+
+    with mock.patch.object(cli, "spin_overlap", overlap):
+        assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] spin-trace prefactors (n=3)  (diagonal 1.500000, cross -0.866025)\n" in out
+    assert "[PASS] spin-trace prefactors (n=4)" in out
 
 
 def density_args(out_dir: Path, extra: list[str] | None = None) -> list[str]:
@@ -510,11 +527,8 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         argv = ["density", "--geometry", "triangle", "--output-dir", str(out)]
         err = _assert_invalid_input(main([*argv, "--set", f"particles={count}"]), capsys, out)
         assert "unknown config key 'particles'" in err
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--particles", count])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --particles" in capsys.readouterr().err
-        assert not out.exists()
+        err = _assert_invalid_input(main([*argv, "--particles", count]), capsys, out)
+        assert "--particles" in err
 
 
 @pytest.mark.parametrize(
@@ -766,7 +780,7 @@ def test_empty_output_dir_is_an_input_error(
 
 def test_empty_environment_output_dir_is_ignored(monkeypatch) -> None:
     monkeypatch.setenv("FEWBODY_OUTPUT_DIR", "")
-    config = cli._load_config(cli._build_parser().parse_args(["density"]))
+    config = cli._read_argv(["density"])[1]
     assert config.output_dir == ExperimentConfig().output_dir
 
 
@@ -821,8 +835,11 @@ def test_sources_apply_in_order(tmp_path: Path, monkeypatch) -> None:
         argv += more
         if step == 2:
             monkeypatch.setenv("FEWBODY_OUTPUT_DIR", "env_dir")
-        config = cli._load_config(cli._build_parser().parse_args(argv))
+        config = cli._read_argv(argv)[1]
         assert (config.name, config.output_dir) == (name, output_dir)
+    # the order of the tokens does not matter: a flag before --set still wins
+    flag_first = ["verify", "--name", "from_flag", "--set", "name=from_set"]
+    assert cli._read_argv(flag_first)[1].name == "from_flag"
 
 
 @pytest.mark.parametrize(
@@ -831,10 +848,29 @@ def test_sources_apply_in_order(tmp_path: Path, monkeypatch) -> None:
     ids=["a", "stripped-name"],
 )
 def test_flag_and_set_give_equal_configs(flag: list[str], pair: str) -> None:
-    parser = cli._build_parser()
-    by_flag = cli._load_config(parser.parse_args(["density", *flag]))
-    by_set = cli._load_config(parser.parse_args(["density", "--set", pair]))
+    by_flag = cli._read_argv(["density", *flag])[1]
+    by_set = cli._read_argv(["density", "--set", pair])[1]
     assert by_flag == by_set != ExperimentConfig()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["density", "--help"]], ids=["-h", "density-help"])
+def test_help_lists_every_flag_and_word(argv: list[str], capsys) -> None:
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    flags = {f"--{key.replace('_', '-')}" for keys in cli.VERB_FLAGS.values() for key in keys}
+    words = ("fermion", "boson", "optical", "atomic", "triangle", "rectangle")
+    for word in (*flags, "--config", "--set", *words, *cli.HOM_INPUTS, *cli.HOM_ALIASES):
+        assert word in captured.out
+    assert captured.out == cli.HELP + "\n"
+
+
+def test_importing_the_cli_leaves_out_argparse() -> None:
+    code = "import sys, fewbody.cli\nprint('argparse' in sys.modules)\n"
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "False\n")
 
 
 # -- every input, every source ---------------------------------------------
@@ -896,6 +932,7 @@ FLAGS = {
 
 def test_value_strategies_cover_every_key() -> None:
     assert set(VALUE_TEXT) == {f.name for f in fields(ExperimentConfig)}
+    assert FLAGS == {verb: set(keys) for verb, keys in cli.VERB_FLAGS.items()}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -917,6 +954,15 @@ def test_every_configuration_exits_0_1_or_2(verb: str, data) -> None:
             argv.append(f"--set={key}={value}")
         else:
             config_lines.append(f"{key} = {value}")
+    if config_lines:
+        argv += ["--config", "run.cfg"]
+    _assert_defined_outcome(argv, config_lines)
+
+
+def _assert_defined_outcome(argv: list[str], config_lines: list[str]) -> None:
+    """main(argv), run in a new directory that holds a file `file` (and
+    run.cfg, from config_lines), gives exit 0 or 1, or exit 2 with one
+    stderr line and nothing written; never a traceback or a warning."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         run_dir = stack.enter_context(tempfile.TemporaryDirectory())
@@ -929,13 +975,9 @@ def test_every_configuration_exits_0_1_or_2(verb: str, data) -> None:
         Path("file").write_text("kept")
         if config_lines:
             Path("run.cfg").write_text("\n".join(config_lines) + "\n")
-            argv += ["--config", "run.cfg"]
         before = sorted(os.listdir())
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own usage error
-                code = exc.code
+            code = main(argv)
         after = sorted(os.listdir())
     err = stderr.getvalue()
     assert [str(w.message) for w in caught] == []
@@ -946,3 +988,31 @@ def test_every_configuration_exits_0_1_or_2(verb: str, data) -> None:
         assert after == before
     else:
         assert err == ""
+
+
+#: flags of every verb, and flags no verb takes
+ANY_FLAG = st.sampled_from(
+    sorted({f"--{key.replace('_', '-')}" for keys in FLAGS.values() for key in keys})
+    + ["--config", "--set", "--bogus", "--particles", "--geo", "--", "-x"]
+)
+#: values that start with "-", plain values, and --set values with or without "="
+ANY_VALUE = st.sampled_from(["-1e5", "-inf", "--x", "-", "1", "0.5", "triangle", "nx", "a=1", ""])
+ARGV_PIECES = st.one_of(
+    st.tuples(ANY_FLAG, ANY_VALUE).map(list),  # a flag and a value
+    st.tuples(ANY_FLAG, ANY_VALUE).map(lambda pair: ["=".join(pair)]),  # --flag=value
+    ANY_FLAG.map(lambda flag: [flag]),  # a flag with no value, at the end or not
+    st.sampled_from(["extra", "density", "a=1", "-1e5"]).map(lambda word: [word]),  # stray
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([[], [""], ["frob"], ["--set"], ["-1e5"], *([verb] for verb in FLAGS)]),
+    st.lists(ARGV_PIECES, max_size=3),
+)
+def test_every_argv_shape_exits_0_1_or_2(verb: list[str], pieces: list[list[str]]) -> None:
+    """No verb, an unknown verb or flag, another verb's flag, a flag with no
+    value, a value that starts with "-", a stray word: none gives a
+    traceback, a SystemExit or more than one line of error."""
+    grid = ["--set", "nx=16", "--set", "ny=16"]
+    _assert_defined_outcome([*verb, *grid, *(token for piece in pieces for token in piece)], [])
