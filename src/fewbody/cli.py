@@ -28,7 +28,7 @@ import numpy as np
 from . import density_maps, float_text, fock_engine, orbitals
 from .exact import rational, sqrt_rational
 from .fock_engine import Mode, StateVector, apply_mode_transform, beamsplitter
-from .spin_algebra import UP, family_3, family_4, recoupling_identity, spin_overlap
+from .spin_algebra import recoupling_identity, spin_family, spin_overlap
 from .wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
     assemble_state,
@@ -51,7 +51,6 @@ class ExperimentConfig:
     h: float = 2.5
     b: float = 2.5
     statistics: str = "fermion"
-    c1_magnitude: float = 1.0
     c1_phase: float = 0.0
     c2_magnitude: float = 0.0
     c2_phase: float = 0.0
@@ -169,7 +168,8 @@ class RunReport:
 
 
 def _max_deviation(a, b) -> float:
-    """Largest coefficient modulus of a - b, two sparse vectors of one space."""
+    """Largest coefficient modulus of a - b, two sparse vectors of one space,
+    as a float: an exact difference below float resolution reads 0."""
     return max((abs(complex(c)) for _, c in (a - b).terms), default=0.0)
 
 
@@ -446,7 +446,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
     ):
         residual = _max_deviation(kernel.density, reference)
         assertions.append(
-            AssertionResult(label, residual == 0.0, f"max deviation {residual:.3e}")
+            AssertionResult(label, kernel.density == reference, f"max deviation {residual:.3e}")
         )
 
     report = density_maps.antibunching_check(kernel, single, spec)
@@ -578,10 +578,9 @@ def _balance_residual(
     config: ExperimentConfig, n: int, mos: dict[str, orbitals.MolecularOrbital]
 ) -> float:
     """density_maps.balance_residual of the run's n particles over six
-    configurations drawn with seed 1, at |C1| = 1: the check does not depend
-    on the scale of C1, whose square can overflow.  Magnitude 0 keeps C1 = 0."""
-    phase = config.c1_phase
-    c1 = complex(math.cos(phase), math.sin(phase)) if config.c1_magnitude != 0 else 0j
+    configurations drawn with seed 1, at C1 = exp(i c1_phase): the check does
+    not depend on the scale of C1."""
+    c1 = complex(math.cos(config.c1_phase), math.sin(config.c1_phase))
     rng = np.random.default_rng(1)
     configurations = [
         [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)] for _ in range(6)
@@ -590,19 +589,6 @@ def _balance_residual(
 
 
 # -- verify ------------------------------------------------------------
-
-
-def _spin_family(n: int, kind: int):
-    if n == 3:
-        return family_3(kind, UP)
-    return family_4(kind)
-
-
-def _family_sum_residual(n: int, kind: int) -> float:
-    family = _spin_family(n, kind)
-    total = family[0] + family[1] + family[2]
-    norm2 = spin_overlap(total, total)
-    return abs(float(norm2))
 
 
 def run_verify(config: ExperimentConfig | None = None) -> RunReport:
@@ -622,12 +608,13 @@ def run_verify(config: ExperimentConfig | None = None) -> RunReport:
 
     for n in (3, 4):
         for kind in (0, 1):
-            residual = _family_sum_residual(n, kind)
+            family = spin_family(n, kind)
+            total = family[0] + family[1] + family[2]
             assertions.append(
                 AssertionResult(
                     f"family sum vanishes (n={n}, kind {kind})",
-                    residual == 0.0,
-                    f"|sum|^2 = {residual:.1e}",
+                    total.is_zero(),
+                    f"|sum|^2 = {float(spin_overlap(total, total)):.1e}",
                 )
             )
 
@@ -649,9 +636,7 @@ def run_verify(config: ExperimentConfig | None = None) -> RunReport:
         assertions.append(
             AssertionResult(
                 f"spin-trace prefactors (n={n})",
-                residual == 0.0
-                and direct_value == rational(Fraction(3, 2))
-                and cross_value == -sqrt_rational(3) / 2,
+                residual == 0,
                 f"diagonal {float(direct_value):.6f}, cross {float(cross_value):.6f}",
             )
         )
@@ -666,31 +651,29 @@ def run_verify(config: ExperimentConfig | None = None) -> RunReport:
 def _prefactor_checks(n: int):
     """Emergent kernel coefficients against the spin-family Grams.
 
-    Returns the diagonal collapse constant G_ii - G_ij, the negative
-    cross-Gram entry, and the largest exact deviation of: each family Gram
-    from (3/2)I - (1/2)J; the cross Gram <chi1_j|chi0_i> from
-    s(sqrt3/2)(P - P^T), P the cyclic shift (P[i][i+1 mod 3] = 1), s = +1
-    or -1; the spin trace of the generic low-coupled fermion state from
-    its position-only collapse (collapsed_trace: with these Grams and
+    Returns the diagonal collapse constant G_ii - G_ij, the smallest
+    cross-Gram entry, and how many of these exact identities fail: both
+    family Grams equal (3/2)I - (1/2)J; the cross Gram <chi1_j|chi0_i>
+    equals s(sqrt3/2)(P - P^T), P the cyclic shift (P[i][i+1 mod 3] = 1),
+    s = +1 or -1; the spin trace of the generic low-coupled fermion state
+    equals its position-only collapse (collapsed_trace: with these Grams and
     position parts summing to zero, sum_ij G_ij Phi_i Phi_j^+ reduces to
     (G_ii - G_ij) sum_i Phi_i Phi_i^+).
     """
-    chi0 = _spin_family(n, 0)
-    chi1 = _spin_family(n, 1)
+    chi0 = spin_family(n, 0)
+    chi1 = spin_family(n, 1)
     cells = [(i, j) for i in range(3) for j in range(3)]
     grams = [[spin_overlap(chi[j], chi[i]) for i, j in cells] for chi in (chi0, chi1)]
     cross = [spin_overlap(chi1[j], chi0[i]) for i, j in cells]
     family = [rational(Fraction(3 * (i == j) - 1, 2)) for i, j in cells]
     shift = [sqrt_rational(3) / 2 * (0, 1, -1)[(j - i) % 3] for i, j in cells]
-
-    direct_value = grams[0][0] - grams[0][1]
-    cross_value = min((entry for entry in cross if not entry.is_zero()), key=float)
-
     psi = assemble_state(n, "low", "fermion", GENERIC_ASSIGNMENT[n])
-    collapse_off = _max_deviation(spin_trace_pair(psi, psi), collapsed_trace(psi))
-    family_off = max(abs(float(g - e)) for gram in grams for g, e in zip(gram, family))
-    cross_off = min(max(abs(float(c - e * s)) for c, e in zip(cross, shift)) for s in (1, -1))
-    return direct_value, cross_value, max(collapse_off, family_off, cross_off)
+    holds = (
+        grams[0] == family == grams[1],
+        cross in (shift, [-e for e in shift]),
+        spin_trace_pair(psi, psi) == collapsed_trace(psi),
+    )
+    return grams[0][0] - grams[0][1], min(cross, key=float), holds.count(False)
 
 
 # -- entry point -------------------------------------------------------

@@ -274,3 +274,10 @@ def family_3(s_pair: SpinValue, m: SpinValue) -> list[SpinState]:
 def family_4(s_pairs: SpinValue) -> list[SpinState]:
     """The three coupled states for the three pair splittings."""
     return [coupled_state_4(i, s_pairs) for i in (1, 2, 3)]
+
+
+def spin_family(n: int, s_pair: SpinValue, m: SpinValue = UP) -> list[SpinState]:
+    """family_3(s_pair, m) for n = 3, family_4(s_pair) for n = 4 (m unused)."""
+    if n not in (3, 4):
+        raise ValueError(f"particle count {n} not in {{3, 4}}")
+    return family_3(s_pair, m) if n == 3 else family_4(s_pair)

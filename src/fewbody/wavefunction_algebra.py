@@ -28,13 +28,7 @@ import numpy as np
 from .exact import ONE, ZERO, SqrtRational, rational, sqrt_rational
 from .grid_tiles import tile_rows, tiled
 from .sparse import SparseVector
-from .spin_algebra import (
-    UP,
-    SpinState,
-    family_3,
-    family_4,
-    spin_overlap,
-)
+from .spin_algebra import UP, SpinState, spin_family, spin_overlap
 from .symmetric_group import Permutation, apply_symmetrizer, build_symmetrizer
 
 Scalar = Union[int, Fraction, SqrtRational]
@@ -214,7 +208,7 @@ def _assemble_state(
     s_pair = 0 if coupling == "low" else 1
     position_kind = s_pair if statistics == "fermion" else 1 - s_pair
     positions = build_position_family(n, position_kind, orbital_assignment)  # checks n
-    spins = family_3(s_pair, m) if n == 3 else family_4(s_pair)
+    spins = spin_family(n, s_pair, m)
     state = SpinPositionState(n, statistics, tuple(zip(spins, positions)))
     # nonzero: the norm is the trace of collapsed_trace, (3/2) sum_i |Phi_i|^2
     norm_sq = full_overlap(state, state)

@@ -33,7 +33,8 @@ from fewbody.cli import (
     serialize_config,
 )
 from fewbody.density_maps import DensityGrid, GridSpec
-from fewbody.exact import rational
+from fewbody.exact import rational, sqrt_rational
+from fewbody.spin_algebra import spin_family
 from fewbody.wavefunction_algebra import ReducedDensity
 
 LOW_RES = ["--set", "nx=64", "--set", "ny=64"]
@@ -45,7 +46,6 @@ def test_config_round_trip_is_exact() -> None:
         geometry="rectangle",
         a=2.0,
         b=2.2,
-        c1_magnitude=0.1,
         c1_phase=math.pi / 8,
         c2_magnitude=1.0,
         c2_phase=-math.pi / 8,
@@ -247,18 +247,26 @@ def test_verify_reports_exact_prefactors() -> None:
 
 
 def test_verify_fails_on_a_family_gram_entry_the_prefactors_do_not_read(capsys) -> None:
-    # family 0's (2, 1) entry enters neither G_00 - G_01 nor the cross Gram
-    chi0 = cli._spin_family(3, 0)
+    # neither printed value reads family 0's (2, 1) entry or the +sqrt3/2 cross
+    # entries; as the nearest double (an exact rational) those differ from
+    # sqrt3/2 by less than float resolution
+    chi0 = spin_family(3, 0)
     real = cli.spin_overlap
+    half_root3 = sqrt_rational(3) / 2
 
-    def overlap(a, b):
+    def family_entry(a, b):
         return real(a, b) + (rational(Fraction(1, 10)) if a is chi0[1] and b is chi0[2] else 0)
 
-    with mock.patch.object(cli, "spin_overlap", overlap):
-        assert main(["verify"]) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] spin-trace prefactors (n=3)  (diagonal 1.500000, cross -0.866025)\n" in out
-    assert "[PASS] spin-trace prefactors (n=4)" in out
+    def float_cross_entries(a, b):
+        value = real(a, b)
+        return rational(Fraction(float(half_root3))) if value == half_root3 else value
+
+    for overlap, n4 in ((family_entry, "PASS"), (float_cross_entries, "FAIL")):
+        with mock.patch.object(cli, "spin_overlap", overlap):
+            assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] spin-trace prefactors (n=3)  (diagonal 1.500000, cross -0.866025)\n" in out
+        assert f"[{n4}] spin-trace prefactors (n=4)" in out
 
 
 def density_args(out_dir: Path, extra: list[str] | None = None) -> list[str]:
@@ -301,43 +309,50 @@ def test_density_verb_is_deterministic(tmp_path: Path, capsys) -> None:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
-def _nudged(density: ReducedDensity) -> ReducedDensity:
-    """density with its first diagonal coefficient raised by exactly 1e-13."""
+TINY = rational(Fraction(1, 10**13))
+#: sqrt3 less the nearest double: exact and nonzero, but its float() is 0.0
+BELOW_FLOAT = sqrt_rational(3) - Fraction(float(sqrt_rational(3)))
+
+
+def _nudged(density: ReducedDensity, amount) -> ReducedDensity:
+    """density with its first diagonal coefficient raised by exactly amount."""
     key = next(key for key, _ in density.terms if key[0] == key[1])
-    return density + ReducedDensity.from_dict(density.space, {key: rational(Fraction(1, 10**13))})
+    return density + ReducedDensity.from_dict(density.space, {key: amount})
 
 
-def _nudge_collapse(monkeypatch) -> None:
+def _nudge_collapse(monkeypatch, amount) -> None:
     collapse = cli.collapsed_trace
-    monkeypatch.setattr(cli, "collapsed_trace", lambda state: _nudged(collapse(state)))
+    monkeypatch.setattr(cli, "collapsed_trace", lambda state: _nudged(collapse(state), amount))
 
 
-def _nudge_boson_kernel(monkeypatch) -> None:
+def _nudge_boson_kernel(monkeypatch, amount) -> None:
     kernel = density_maps.ground_pair_kernel
 
     def nudged(n, statistics):
         density = kernel(n, statistics)
-        return _nudged(density) if statistics == "boson" else density
+        return _nudged(density, amount) if statistics == "boson" else density
 
     monkeypatch.setattr(density_maps, "ground_pair_kernel", nudged)
 
 
 @pytest.mark.parametrize(
-    "nudge,label",
+    "nudge,amount,label,deviation",
     [
-        (_nudge_collapse, "dual-construction pair kernels agree"),
-        (_nudge_boson_kernel, "statistics-independent pair kernel"),
+        (_nudge_collapse, TINY, "dual-construction pair kernels agree", "1.000e-13"),
+        (_nudge_boson_kernel, TINY, "statistics-independent pair kernel", "1.000e-13"),
+        (_nudge_collapse, BELOW_FLOAT, "dual-construction pair kernels agree", "0.000e+00"),
     ],
-    ids=["dual", "statistics"],
+    ids=["dual", "statistics", "dual-below-float"],
 )
 def test_density_kernel_checks_fail_on_an_exact_difference(
-    nudge, label: str, tmp_path: Path, capsys, monkeypatch
+    nudge, amount, label: str, deviation: str, tmp_path: Path, capsys, monkeypatch
 ) -> None:
-    # a fermion run compares its kernel with the collapse and the boson kernel
-    nudge(monkeypatch)
+    # a fermion run compares its kernel with the collapse and the boson kernel;
+    # the verdict is exact, the printed deviation a float
+    nudge(monkeypatch, amount)
     code = main(["density", "--set", "nx=16", "--set", "ny=16", "--output-dir", str(tmp_path)])
     assert code == 1
-    assert f"[FAIL] {label}  (max deviation 1.000e-13)" in capsys.readouterr().out.splitlines()
+    assert f"[FAIL] {label}  (max deviation {deviation})" in capsys.readouterr().out.splitlines()
 
 
 def test_density_rectangle_defaults_to_four_particles(tmp_path: Path, capsys) -> None:
@@ -461,35 +476,27 @@ def test_density_balance_at_zero_norm_phase_cannot_run(
     assert out.endswith("RESULT: FAIL\n")
 
 
-BALANCED = "[PASS] boson and fermion densities agree at balance  (max deviation 6.776e-21)"
-ZERO_NORM = (
-    "[FAIL] boson and fermion densities agree at balance  "
-    "(cannot run: C1·Ψ1 + C1*·Ψ2 has zero norm (fermion))"
-)
-
-
-@pytest.mark.parametrize(
-    "magnitude, phase, line",
-    [
-        ("1", "0.39", BALANCED),
-        ("1e200", "0.39", BALANCED),
-        ("-3", "0.39", BALANCED),
-        ("5e-324", "0.39", BALANCED),
-        ("1e200", "0", ZERO_NORM),
-        ("0", "0.39", ZERO_NORM),
-    ],
-    ids=["1", "1e200", "-3", "5e-324", "1e200-phase-0", "0"],
-)
+@pytest.mark.parametrize("magnitude, phase", [(1e200, "0")], ids=["1e200-phase-0"])
 def test_density_balance_does_not_depend_on_the_magnitude_of_c1(
-    magnitude: str, phase: str, line: str, tmp_path: Path, capsys
+    magnitude: float, phase: str, tmp_path: Path, capsys, monkeypatch
 ) -> None:
-    # |C1|^2 of 1e200 overflows; the check runs at |C1| = 1 and the phase
+    # the run passes C1 = exp(i c1_phase); scaled so that |C1|^2 overflows, the
+    # library takes it at unit modulus and still finds the zero-norm phase
+    balance = density_maps.balance_residual
+    monkeypatch.setattr(
+        density_maps,
+        "balance_residual",
+        lambda n, mos, c1, configurations: balance(n, mos, magnitude * c1, configurations),
+    )
     argv = ["density", "--output-dir", str(tmp_path), "--set", "nx=16", "--set", "ny=16"]
-    settings = [f"c1_magnitude={magnitude}", f"c1_phase={phase}", "c2_magnitude=1"]
+    settings = [f"c1_phase={phase}", "c2_magnitude=1"]
     code = main([*argv, *(arg for s in settings for arg in ("--set", s))])
     out = capsys.readouterr().out
-    assert code == (0 if line == BALANCED else 1)
-    assert f"\n{line}\n" in out
+    assert code == 1
+    assert (
+        "\n[FAIL] boson and fermion densities agree at balance  "
+        "(cannot run: C1·Ψ1 + C1*·Ψ2 has zero norm (fermion))\n"
+    ) in out
 
 
 def test_write_csv_matches_repr_of_every_float(tmp_path: Path) -> None:
@@ -545,6 +552,7 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--geometry", "rectangle", "--a", "0.01", "--b", "0.01"],
         ["density", "--set", "conditioning_points=nan,0"],
         ["density", "--set", "coupling=high"],
+        ["density", "--set", "c1_magnitude=1"],
         ["density", "--geometry", "rectangle", "--a", "1e-9", "--b", "1e-9"],
         ["density", "--set", "conditioning_points=1,2,3"],
         ["density", "--set", "conditioning_points=1"],
@@ -574,7 +582,7 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
         "triangle-a=1e-9", "square-0.05", "square-0.01", "nan-conditioning-point", "coupling",
-        "square-1e-9", "three-value-point", "one-value-point", "non-numeric-point",
+        "c1_magnitude", "square-1e-9", "three-value-point", "one-value-point", "non-numeric-point",
         "output-dir-is-a-file", "output-dir-under-a-file", "grid-beyond-physical-memory",
         "width-overflows", "area-overflows", "area-underflows", "nul-in-name",
         "nul-in-output-dir", "name-too-long", "output-dir-name-too-long", "empty-name",
@@ -603,6 +611,8 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwa
         assert "-byte limit in" in err
     if argv[-2:] == ["--output-dir", ""]:  # not the working directory, nor the default
         assert err == "fewbody: error: output_dir is empty\n"
+    if "c1_magnitude=1" in argv:  # C1 = exp(i c1_phase): it has no magnitude to set
+        assert "unknown config key 'c1_magnitude'" in err
     if "abc" in argv:  # a flag's value is coerced, and named, like a --set value
         assert f"{argv[-2][2:]}: could not convert string to float: 'abc'" in err
     assert list(tmp_path.iterdir()) == [existing]
@@ -906,7 +916,6 @@ VALUE_TEXT = {
     "h": _number(0.5, 5),
     "b": _number(0.5, 5),
     "statistics": _word("fermion", "boson"),
-    "c1_magnitude": _number(-2, 2),
     "c1_phase": _number(-7, 7),
     "c2_magnitude": _number(-2, 2),
     "c2_phase": _number(-7, 7),

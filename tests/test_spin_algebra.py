@@ -24,6 +24,7 @@ from fewbody.spin_algebra import (
     family_3,
     family_4,
     recoupling_identity,
+    spin_family,
     spin_overlap,
     wigner6j,
 )
@@ -259,8 +260,10 @@ def test_families_sum_to_zero_exactly() -> None:
             total = family_3(s_pair, m)
             summed = total[0] + total[1] + total[2]
             assert summed.is_zero()
+            assert spin_family(3, s_pair, m) == total
         members = family_4(s_pair)
         assert (members[0] + members[1] + members[2]).is_zero()
+        assert spin_family(4, s_pair) == members
 
 
 def test_family_grams() -> None:
@@ -313,6 +316,8 @@ def test_invalid_arguments_raise() -> None:
         coupled_state_4(((1, 2), (3, 4)), 0)  # an index, not the splitting
     with pytest.raises(ValueError):
         coupled_state_4(1, 2)  # pair spin 2
+    with pytest.raises(ValueError):
+        spin_family(2, 0)
 
 
 def test_clebsch_gordan_cache_key_ignores_argument_type() -> None:
