@@ -79,10 +79,8 @@ def _format_value(value) -> str:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        lines.append(f"{f.name} = {_format_value(getattr(config, f.name))}")
-    return "\n".join(lines) + "\n"
+    pairs = ((f.name, _format_value(getattr(config, f.name))) for f in fields(ExperimentConfig))
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
@@ -386,10 +384,8 @@ def _write_ppm(grid: density_maps.DensityGrid, path: Path, marker: tuple[float, 
     gray = _image_rows(_grayscale(grid.values))
     rgb = np.stack([gray, gray, gray], axis=-1)
     xs, ys = grid.spec.axes()
-    i = int(np.argmin(np.abs(xs - marker[0])))
-    j = int(np.argmin(np.abs(ys - marker[1])))
-    row = gray.shape[0] - 1 - j
-    col = i
+    col = int(np.argmin(np.abs(xs - marker[0])))
+    row = gray.shape[0] - 1 - int(np.argmin(np.abs(ys - marker[1])))
     arm = max(2, gray.shape[0] // 64)
     for d in range(-arm, arm + 1):
         r, c = row + d, col + d
@@ -681,13 +677,14 @@ def _prefactor_checks(n: int):
 
 #: each verb's dedicated flags, as config keys; --config and --set are on every verb
 VERB_FLAGS = {
-    "hom": ("name", "output_dir", "statistics", "input", "convention", "theta"),
+    "hom": ("name", "statistics", "input", "convention", "theta"),
     "density": ("name", "output_dir", "geometry", "a", "h", "b"),
-    "verify": ("name", "output_dir"),
+    "verify": (),
 }
 HELP = "\n".join([
     "usage: fewbody VERB [--config FILE] [--set KEY=VALUE]... [--FLAG VALUE | --FLAG=VALUE]...",
-    *(f"  {verb}: --{' --'.join(keys)}".replace("_", "-") for verb, keys in VERB_FLAGS.items()),
+    *(f"  {verb}: {' '.join('--' + k for k in keys) or '(no flags)'}".replace("_", "-")
+      for verb, keys in VERB_FLAGS.items()),
     "statistics: fermion, boson; convention: optical, atomic; geometry: triangle, rectangle",
     "hom inputs: " + ", ".join([*HOM_INPUTS, *HOM_ALIASES]),
 ])
@@ -777,8 +774,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         verb, config = _read_argv(sys.argv[1:] if argv is None else argv)
         if config is None:
-            print(HELP)
-            return 0
+            return _print(HELP, 0)
         _check_inputs(verb, config)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
@@ -789,8 +785,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # both are found before any file reaches the output directory; an
         # OSError comes from an output directory the run cannot write into
         return _input_error(exc)
-    print(report.render())
-    return 0 if report.passed else 1
+    return _print(report.render(), 0 if report.passed else 1)
+
+
+def _print(text: str, code: int) -> int:
+    """Print text and return code; a closed pipe gets nothing, and no error."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # stdout goes to os.devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def _input_error(exc: Exception) -> int:

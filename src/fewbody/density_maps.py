@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -133,14 +133,11 @@ class PairDensityKernel:
     density is symmetric under argument exchange.
 
     A point is an (x, y) pair of scalars or arrays, or a GridSpec standing
-    for every cell of that grid.  The kernel evaluates its orbitals on a
-    grid once and reuses the (read-only) values in every later call on that
-    grid, for as long as the kernel lives.
+    for every cell of that grid (its orbital values from the _grid_values cache).
     """
 
     density: ReducedDensity
     mos: Mapping[str, MolecularOrbital]
-    _grid_orbitals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, *points):
         evaluator = {label: mo.evaluate for label, mo in self.mos.items()}
@@ -148,15 +145,17 @@ class PairDensityKernel:
         return evaluate_density(self.density, evaluator, points)
 
     def _on_grid(self, spec: GridSpec) -> dict[str, np.ndarray]:
-        orbital_values = self._grid_orbitals.get(spec)
-        if orbital_values is None:
-            labels = sorted({label for (ket, bra), _ in self.density.terms for label in ket + bra})
-            mos = [self.mos[label] for label in labels]
-            orbital_values = dict(zip(labels, evaluate_orbitals(mos, *spec.open_mesh())))
-            for values in orbital_values.values():
-                values.flags.writeable = False
-            self._grid_orbitals[spec] = orbital_values
-        return orbital_values
+        labels = sorted({label for (ket, bra), _ in self.density.terms for label in ket + bra})
+        return dict(zip(labels, _grid_values(tuple(self.mos[label] for label in labels), spec)))
+
+
+@functools.lru_cache(maxsize=1)  # a run reads one orbital set on one grid at a time
+def _grid_values(mos: tuple[MolecularOrbital, ...], spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """Each orbital on every cell of spec, as read-only arrays that equal sets share."""
+    values = evaluate_orbitals(mos, *spec.open_mesh())
+    for array in values:
+        array.flags.writeable = False
+    return tuple(values)
 
 
 def pair_density(
@@ -211,15 +210,15 @@ def balance_residual(
     normalised to unit total weight before comparison, so the check is
     insensitive to the overall norm of the superposed state.  Raises
     ZeroNormSuperposition when that weight vanishes, which happens at the
-    ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.  A C1 whose
-    squared modulus overflows is taken at unit modulus; a non-finite C1
-    raises ValueError.
+    ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.  A nonzero C1
+    whose squared modulus overflows or falls below the smallest normal
+    double is taken at unit modulus; a non-finite C1 raises ValueError.
     """
     c1 = complex(c1)
     if not all(map(math.isfinite, (c1.real, c1.imag))):
         raise ValueError(f"C1 must be finite, not {c1!r}")
     modulus = math.hypot(c1.real, c1.imag)
-    if not math.isfinite(modulus * modulus):
+    if c1 and not np.finfo(float).tiny <= modulus * modulus < math.inf:
         c1 /= max(abs(c1.real), abs(c1.imag))
         c1 /= abs(c1)
     c2 = c1.conjugate()
@@ -340,6 +339,7 @@ def local_maxima(grid: DensityGrid) -> list[Point]:
             continue
         stack = [(int(i0), int(j0))]
         cluster = []
+        rim = -np.inf  # the highest cell adjacent to the cluster: none is dominant
         seen[i0, j0] = True
         while stack:
             i, j = stack.pop()
@@ -347,20 +347,15 @@ def local_maxima(grid: DensityGrid) -> list[Point]:
             for di in (-1, 0, 1):
                 for dj in (-1, 0, 1):
                     ii, jj = i + di, j + dj
-                    if 0 <= ii < nx and 0 <= jj < ny and flat[ii, jj] and not seen[ii, jj]:
+                    if not (0 <= ii < nx and 0 <= jj < ny):
+                        continue
+                    if not flat[ii, jj]:
+                        rim = max(rim, v[ii, jj])
+                    elif not seen[ii, jj]:
                         seen[ii, jj] = True
                         stack.append((ii, jj))
         # adjacent dominant cells are each >= the other: the cluster is flat
-        peak = v[i0, j0]
-        rim = -np.inf
-        members = set(cluster)
-        for i, j in cluster:
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < nx and 0 <= jj < ny and (ii, jj) not in members:
-                        rim = max(rim, v[ii, jj])
-        if rim >= peak:
+        if rim >= v[i0, j0]:
             continue
         cx = float(np.mean([xs[i] for i, _ in cluster]))
         cy = float(np.mean([ys[j] for _, j in cluster]))

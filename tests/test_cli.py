@@ -578,6 +578,8 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         ["density", "--output-dir", ""],
         ["density", "--set", "statistics=anyon"],
         ["density", "--geometry", "rectangle", "--b", "0"],
+        ["verify", "--name", "probe"],
+        ["hom", "--output-dir", "d"],
     ],
     ids=[
         "nx=4", "a=-1", "x_min=nan", "hom-input-XX", "name-with-slash", "name-with-parent",
@@ -588,17 +590,23 @@ def test_density_rejects_mismatched_particle_count(tmp_path: Path, capsys) -> No
         "nul-in-output-dir", "name-too-long", "output-dir-name-too-long", "empty-name",
         "hom-statistics-anyon", "hom-convention-foo", "hom-theta-abc", "geometry-hexagon",
         "a-abc", "empty-output-dir", "density-statistics-anyon", "rectangle-b=0",
+        "verify-name", "hom-output-dir",
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path: Path, capsys, recwarn) -> None:
     out = tmp_path / "out"
     existing = tmp_path / "file"
     existing.write_text("kept")
-    # a case's own --output-dir comes later and wins; FILE names an existing
-    # file, TMP the directory holding it
-    rest = [arg.replace("FILE", str(existing)).replace("TMP", str(tmp_path)) for arg in argv[1:]]
-    argv = [argv[0], "--output-dir", str(out), *rest]
+    # a case's own --output-dir comes after this one and wins (on a verb that
+    # takes the flag); FILE names an existing file, TMP the directory holding it
+    case = argv
+    verb, *rest = case
+    rest = [arg.replace("FILE", str(existing)).replace("TMP", str(tmp_path)) for arg in rest]
+    argv = [verb, *(["--output-dir", str(out)] if "output_dir" in cli.VERB_FLAGS[verb] else [])]
+    argv += rest
     err = _assert_invalid_input(main(argv), capsys, out)
+    if case[:2] in (["verify", "--name"], ["hom", "--output-dir"]):  # flags that would do nothing
+        assert err == f"fewbody: error: {verb} does not take {case[1]!r}\n"
     if any(a.startswith("conditioning_points=") for a in argv):
         assert "conditioning_points" in err
     if "nx=100000" in argv:  # 160 GB per complex array, found before any is allocated
@@ -840,7 +848,7 @@ def test_sources_apply_in_order(tmp_path: Path, monkeypatch) -> None:
         ([], "from_set", "env_dir"),
         (["--name", "from_flag", "--output-dir", "flag_dir"], "from_flag", "flag_dir"),
     ]
-    argv = ["verify"]
+    argv = ["density"]
     for step, (more, name, output_dir) in enumerate(layers):
         argv += more
         if step == 2:
@@ -848,7 +856,7 @@ def test_sources_apply_in_order(tmp_path: Path, monkeypatch) -> None:
         config = cli._read_argv(argv)[1]
         assert (config.name, config.output_dir) == (name, output_dir)
     # the order of the tokens does not matter: a flag before --set still wins
-    flag_first = ["verify", "--name", "from_flag", "--set", "name=from_set"]
+    flag_first = ["density", "--name", "from_flag", "--set", "name=from_set"]
     assert cli._read_argv(flag_first)[1].name == "from_flag"
 
 
@@ -872,7 +880,33 @@ def test_help_lists_every_flag_and_word(argv: list[str], capsys) -> None:
     words = ("fermion", "boson", "optical", "atomic", "triangle", "rectangle")
     for word in (*flags, "--config", "--set", *words, *cli.HOM_INPUTS, *cli.HOM_ALIASES):
         assert word in captured.out
+    assert "\n  verify: (no flags)\n" in captured.out
     assert captured.out == cli.HELP + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify"], 0), (["-h"], 0), (["density", "--a", "1e300", "--set", "nx=16"], 1)],
+    ids=["verify", "help", "failing-density"],
+)
+def test_a_closed_pipe_keeps_the_exit_code_and_prints_no_error(
+    argv: list[str], code: int, tmp_path: Path
+) -> None:
+    # the reader has closed its end before the run prints (as `| head -1`
+    # may): the report goes nowhere, and the run's own code stands
+    read, write = os.pipe()
+    os.close(read)
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    env.pop("FEWBODY_OUTPUT_DIR", None)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "fewbody.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (code, "")
 
 
 def test_importing_the_cli_leaves_out_argparse() -> None:
@@ -933,9 +967,9 @@ VALUE_TEXT = {
     "theta": _number(0, 3.2),
 }
 FLAGS = {
-    "hom": {"name", "output_dir", "statistics", "input", "convention", "theta"},
+    "hom": {"name", "statistics", "input", "convention", "theta"},
     "density": {"name", "output_dir", "geometry", "a", "h", "b"},
-    "verify": {"name", "output_dir"},
+    "verify": set(),  # verify reads no key, and writes no file
 }
 
 
@@ -949,7 +983,10 @@ def test_value_strategies_cover_every_key() -> None:
 def test_every_configuration_exits_0_1_or_2(verb: str, data) -> None:
     """From any source, a value gives exit 0 or 1, or exit 2 with one
     stderr line and nothing written; never a traceback or a warning."""
-    flagged = data.draw(st.sets(st.sampled_from(sorted(FLAGS[verb])), max_size=3), "flag keys")
+    flags = sorted(FLAGS[verb])  # sampled_from([]) raises: verify has no flag
+    flagged = set()
+    if flags:
+        flagged = data.draw(st.sets(st.sampled_from(flags), max_size=3), "flag keys")
     others = sorted(set(VALUE_TEXT) - FLAGS[verb])
     keys = flagged | data.draw(st.sets(st.sampled_from(others), max_size=3), "keys") | {"nx", "ny"}
     config_lines, argv = [], [verb]

@@ -1,10 +1,12 @@
 """Grid densities, conditional maps, antibunching, probability flux."""
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fewbody import density_maps
 from fewbody.density_maps import (
     AntibunchingReport,
     DensityGrid,
@@ -245,10 +247,12 @@ def test_no_qualifying_point_is_not_antibunched() -> None:
 
 
 def test_balance_residual_takes_a_huge_c1_at_unit_modulus() -> None:
-    # the check does not depend on the scale of C1, whose square overflows
+    # the check does not depend on the scale of C1, whose square overflows or
+    # falls below the smallest normal double
     mos = triangle_mos(2.0, 2.5)
     points = [[(0.1, 0.2), (0.3, -0.4), (1.0, 0.5)]]
-    for c1 in (1e200 * complex(0.9, 0.4), complex(1.7e308, -1.7e308)):
+    tiny = 1e-200 * cmath.rect(1.0, 0.39)
+    for c1 in (1e200 * complex(0.9, 0.4), complex(1.7e308, -1.7e308), tiny):
         residual = balance_residual(3, mos, c1, points)
         assert math.isfinite(residual) and residual <= 1e-10
     for c1 in (complex(math.inf, 0.0), complex(0.5, math.nan)):
@@ -389,15 +393,50 @@ def test_kernel_grid_values_are_read_only_and_results_are_fresh() -> None:
     assert np.array_equal(kernel(spec, spec), kernel((x, y), (x, y)))
 
 
-def test_grid_values_are_cached_per_kernel_and_per_grid() -> None:
-    mos = triangle_mos(2.0, 2.5)
-    kernel = pair_density(3, mos)
-    other = pair_density(3, mos)
+def _grid_evaluations(monkeypatch) -> list:
+    """Empty the grid-value cache and record each evaluate_orbitals call of
+    density_maps as (labels, x shape, y shape)."""
+    calls = []
+    evaluate = density_maps.evaluate_orbitals
+
+    def recording(mos, x, y):
+        calls.append(([mo.label for mo in mos], np.shape(x), np.shape(y)))
+        return evaluate(mos, x, y)
+
+    monkeypatch.setattr(density_maps, "evaluate_orbitals", recording)
+    density_maps._grid_values.cache_clear()
+    return calls
+
+
+def test_grid_values_are_cached_per_orbital_set_and_grid(monkeypatch) -> None:
+    calls = _grid_evaluations(monkeypatch)
     spec = GridSpec(resolution=(17, 17))
+    kernel = pair_density(3, triangle_mos(2.0, 2.5))
+    other = pair_density(3, triangle_mos(2.0, 2.5))  # an equal orbital set, built anew
     conditional_density(kernel, (0.0, 2.5), spec)
-    assert kernel._on_grid(spec) is kernel._on_grid(spec)
-    assert other._on_grid(spec) is not kernel._on_grid(spec)
-    assert kernel._on_grid(COARSE) is not kernel._on_grid(spec)
+    values = kernel._on_grid(spec)
+    assert all(other._on_grid(spec)[label] is values[label] for label in ("e", "g"))
+    assert calls == [(["e", "g"], (17, 1), (1, 17))]
+    # another grid, or another orbital set, is evaluated anew
+    coarse = kernel._on_grid(COARSE)["g"]
+    taller = pair_density(3, triangle_mos(2.0, 3.0))
+    assert taller._on_grid(COARSE)["g"] is not coarse
+    assert [shapes for _, *shapes in calls] == [
+        [(17, 1), (1, 17)], [(96, 1), (1, 96)], [(96, 1), (1, 96)]
+    ]
+
+
+def test_a_run_on_one_grid_evaluates_its_orbitals_once(monkeypatch) -> None:
+    # the single density, the antibunching check and a conditional map, as the
+    # density verb runs them, read one evaluation of g and e on the grid
+    calls = _grid_evaluations(monkeypatch)
+    mos = rectangle_mos(2.0, 2.0)
+    spec = GridSpec(resolution=(19, 23))
+    single = single_density(4, mos, spec)
+    kernel = pair_density(4, mos)
+    antibunching_check(kernel, single, spec)
+    conditional_density(kernel, (-1.0, 1.0), spec)
+    assert calls == [(["e", "g"], (19, 1), (1, 23))]
 
 
 def test_antibunching_accepts_the_single_density_as_marginal() -> None:

@@ -26,7 +26,9 @@ SMALL_TILE = 7 * 61 + 3
 
 
 def _tiled(monkeypatch) -> list:
-    """Patch in small tiles on three workers; record the tiles that run."""
+    """Patch in small tiles on three workers; record the tiles that run.
+    Grid orbital values cached by a whole-grid run are dropped first."""
+    density_maps._grid_values.cache_clear()
     monkeypatch.setattr(grid_tiles, "TILE_CELLS", SMALL_TILE)
     monkeypatch.setattr(grid_tiles, "usable_cpus", lambda: 3)
     ran = []
@@ -54,6 +56,7 @@ def _bytes(values) -> tuple:
 
 
 def _compare(monkeypatch, compute) -> None:
+    density_maps._grid_values.cache_clear()  # the whole grid evaluates its own
     whole = _bytes(compute())
     ran = _tiled(monkeypatch)
     in_tiles = _bytes(compute())
@@ -92,7 +95,7 @@ def test_pair_density_does_not_depend_on_the_tiling(where: str, monkeypatch) -> 
     mos = _square()[0]
 
     def compute():
-        kernel = density_maps.pair_density(4, mos)  # a new kernel: no cached grid
+        kernel = density_maps.pair_density(4, mos)
         if where == "grid":
             return list(kernel._on_grid(RAGGED).values())
         if where == "conditional":
