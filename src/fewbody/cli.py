@@ -399,18 +399,21 @@ def _write_ppm(grid: density_maps.DensityGrid, path: Path, marker: tuple[float, 
 
 def _density_inputs(
     config: ExperimentConfig,
-) -> tuple[int, dict[str, orbitals.MolecularOrbital], density_maps.GridSpec]:
-    """The particle count, orbitals and grid of a density run: a triangle
-    carries 3 particles, a rectangle 4.  ValueError on an invalid input."""
+) -> tuple[int, str, dict[str, orbitals.MolecularOrbital], density_maps.GridSpec]:
+    """The particle count, dimensions text, orbitals and grid of a density
+    run: a triangle carries 3 particles, a rectangle 4.  ValueError on an
+    invalid input."""
     if config.geometry == "triangle":
         n, mos = 3, orbitals.triangle_mos(config.a, config.h)
+        dimensions = f"a={config.a:g} h={config.h:g}"
     elif config.geometry == "rectangle":
         n, mos = 4, orbitals.rectangle_mos(config.a, config.b)
+        dimensions = f"a={config.a:g} b={config.b:g}"
     else:
         raise ValueError(f"unknown geometry {config.geometry!r}")
     if config.statistics not in ("fermion", "boson"):
         raise ValueError(f"unknown statistics {config.statistics!r}")
-    return n, mos, config.grid_spec()
+    return n, dimensions, mos, config.grid_spec()
 
 
 def run_density(config: ExperimentConfig) -> RunReport:
@@ -418,7 +421,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
 
     Each conditional map is computed, written and freed in turn; a run that
     fails part-way leaves nothing behind (see _staged_files)."""
-    n, mos, spec = _density_inputs(config)
+    n, dimensions, mos, spec = _density_inputs(config)
     assertions = []
     summaries = []
     manifest = []
@@ -519,7 +522,7 @@ def run_density(config: ExperimentConfig) -> RunReport:
         name=f"density:{config.name}",
         inputs=(
             ("geometry", config.geometry),
-            ("dimensions", _dimensions_text(config)),
+            ("dimensions", dimensions),
             ("particles", str(n)),
             ("grid", f"{config.nx}x{config.ny}"),
         ),
@@ -562,12 +565,6 @@ def _staged_files(out_dir: Path):
                 raise
     finally:
         shutil.rmtree(stage.parent, ignore_errors=True)
-
-
-def _dimensions_text(config: ExperimentConfig) -> str:
-    if config.geometry == "triangle":
-        return f"a={config.a:g} h={config.h:g}"
-    return f"a={config.a:g} b={config.b:g}"
 
 
 def _balance_residual(

@@ -2,7 +2,8 @@
 
 Modes carry a site index (1 or 2) and an internal label (polarization,
 hyperfine state, clock state).  States are sparse maps from occupation
-configurations to complex amplitudes, under either exchange statistics.
+configurations to complex amplitudes; a state carries its exchange
+statistics, and an occupation configuration, shared by both, does not.
 A mode transform mixes the two sites coherently and acts identically on
 every internal label; states are pushed through it by rewriting them as
 creation-operator polynomials on the vacuum, substituting each creator,
@@ -49,21 +50,18 @@ def _check_statistics(statistics: str) -> str:
 class OccupationState:
     """Occupancy per mode, kept sorted in the fixed mode order."""
 
-    statistics: str
     occupancy: tuple[tuple[Mode, int], ...]
 
     def __post_init__(self) -> None:
-        _check_statistics(self.statistics)
         for mode, n in self.occupancy:
             if n <= 0:
                 raise ValueError("stored occupancies must be positive")
-            if self.statistics == FERMION and n > 1:
-                raise ValueError("fermionic occupancy exceeds 1")
 
     @staticmethod
     def from_counts(statistics: str, counts: Mapping[Mode, int]) -> "OccupationState":
-        items = tuple(sorted((m, n) for m, n in counts.items() if n != 0))
-        return OccupationState(statistics, items)
+        occ = OccupationState(tuple(sorted((m, n) for m, n in counts.items() if n != 0)))
+        StateVector._checked(statistics, (occ,))
+        return occ
 
     def counts(self) -> dict[Mode, int]:
         return dict(self.occupancy)
@@ -73,8 +71,7 @@ class OccupationState:
         return sum(n for m, n in self.occupancy if m < mode)
 
 
-def vacuum(statistics: str) -> OccupationState:
-    return OccupationState(_check_statistics(statistics), ())
+VACUUM = OccupationState(())
 
 
 class StateVector(SparseVector):
@@ -91,10 +88,11 @@ class StateVector(SparseVector):
 
     @staticmethod
     def _checked(statistics: str, occupations) -> str:
-        _check_statistics(statistics)
-        for occ in occupations:  # a plain loop: any() costs more on few terms
-            if occ.statistics != statistics:
-                raise ValueError("term statistics disagrees with the state")
+        if _check_statistics(statistics) == FERMION:
+            for occ in occupations:  # plain loops: any() costs more on few terms
+                for _, n in occ.occupancy:
+                    if n > 1:
+                        raise ValueError("fermionic occupancy exceeds 1")
         return statistics
 
     @staticmethod
@@ -114,31 +112,31 @@ def basis_state(statistics: str, modes: Sequence[Mode], amplitude: complex = 1.0
     The rightmost listed mode acts on the vacuum first, so the result is
     a†(modes[0]) ... a†(modes[-1]) |0⟩ scaled by `amplitude`.
     """
-    state = StateVector.from_dict(statistics, {vacuum(statistics): amplitude})
+    state = StateVector.from_dict(statistics, {VACUUM: amplitude})
     for mode in reversed(modes):
         state = create(state, mode)
     return state
 
 
 @functools.cache
-def _raised(occ: OccupationState, mode: Mode) -> tuple[OccupationState, float] | None:
+def _raised(occ: OccupationState, mode: Mode, statistics: str) -> tuple | None:
     """a†(mode) on one configuration: (new configuration, factor), or None
     for a fermionic double occupation.  Cached for the life of the process
-    (keys: the configurations and modes it has met), so a repeated step is
-    one lookup and returns the same configuration object."""
+    (keys: the configurations, modes and statistics it has met), so a
+    repeated step is one lookup and returns the same configuration object."""
     counts = occ.counts()
     n = counts.get(mode, 0)
-    if occ.statistics == FERMION:
+    if statistics == FERMION:
         if n == 1:
             return None
         factor = -1.0 if occ.occupancy_before(mode) % 2 else 1.0
     else:
         factor = math.sqrt(n + 1)
     counts[mode] = n + 1
-    return OccupationState.from_counts(occ.statistics, counts), factor
+    return OccupationState.from_counts(statistics, counts), factor
 
 
-def _lowered(occ: OccupationState, mode: Mode) -> tuple[OccupationState, float] | None:
+def _lowered(occ: OccupationState, mode: Mode, statistics: str) -> tuple | None:
     """a(mode) on one configuration, the adjoint of `_raised`: None for an
     empty mode, else the lowered configuration and the factor of raising it
     back."""
@@ -147,28 +145,37 @@ def _lowered(occ: OccupationState, mode: Mode) -> tuple[OccupationState, float] 
     if n == 0:
         return None
     counts[mode] = n - 1
-    lowered = OccupationState.from_counts(occ.statistics, counts)
-    return lowered, _raised(lowered, mode)[1]
+    lowered = OccupationState.from_counts(statistics, counts)
+    return lowered, _raised(lowered, mode, statistics)[1]
 
 
-def _ladder(state: StateVector, mode: Mode, step) -> StateVector:
-    out: dict[OccupationState, complex] = {}
-    for occ, amp in state.terms:
-        moved = step(occ, mode)
+def _ladder(out: dict, terms, step, mode: Mode, statistics: str, coeff=None) -> dict:
+    """Add coeff · step(mode) on (configuration, amplitude) `terms` into
+    `out`, and return `out`.  Amplitudes of magnitude 1e-13 or less are
+    pruned after the step, after the coefficient (when one is given) and
+    after each sum."""
+    for occ, amp in terms:
+        moved = step(occ, mode, statistics)
         if moved is not None:
             new_occ, factor = moved
-            out[new_occ] = out.get(new_occ, 0j) + amp * factor
-    return StateVector._build(state.statistics, out)
+            value = 0j + amp * factor
+            if coeff is not None and abs(value) > _PRUNE:
+                value = value * coeff
+            if abs(value) > _PRUNE:
+                _accumulate(out, new_occ, value)
+    return out
 
 
 def create(state: StateVector, mode: Mode) -> StateVector:
     """Apply a creation operator; fermionic double occupation vanishes."""
-    return _ladder(state, mode, _raised)
+    statistics = state.statistics
+    return StateVector._build(statistics, _ladder({}, state.terms, _raised, mode, statistics))
 
 
 def annihilate(state: StateVector, mode: Mode) -> StateVector:
     """Adjoint of create; annihilating an empty mode gives the zero vector."""
-    return _ladder(state, mode, _lowered)
+    statistics = state.statistics
+    return StateVector._build(statistics, _ladder({}, state.terms, _lowered, mode, statistics))
 
 
 @dataclass(frozen=True)
@@ -243,26 +250,14 @@ def apply_mode_transform(state: StateVector, transform: ModeTransform) -> StateV
         norm = 1.0
         for _, n in occ.occupancy:
             norm *= math.factorial(n)
-        current = {vacuum(statistics): complex(amp / math.sqrt(norm))}
+        current = {VACUUM: complex(amp / math.sqrt(norm))}
         for mode, n in reversed(occ.occupancy):
             images = transform.image(mode)
             for _ in range(n):
                 pieces: dict[OccupationState, complex] = {}
                 for out_mode, coeff in images:
-                    if abs(coeff) <= _PRUNE:
-                        continue
-                    for prev, value in current.items():
-                        moved = _raised(prev, out_mode)
-                        if moved is None:
-                            continue
-                        new_occ, factor = moved
-                        value = 0j + value * factor
-                        if not abs(value) > _PRUNE:
-                            continue
-                        value = value * coeff
-                        if not abs(value) > _PRUNE:
-                            continue
-                        _accumulate(pieces, new_occ, value)
+                    if abs(coeff) > _PRUNE:
+                        _ladder(pieces, current.items(), _raised, out_mode, statistics, coeff)
                 current = pieces
         for key, value in current.items():
             _accumulate(total, key, value)

@@ -225,7 +225,7 @@ def test_pauli_exclusion_in_basis_state() -> None:
     with pytest.raises(ValueError, match="fermionic occupancy exceeds 1"):
         OccupationState.from_counts(FERMION, {mode(1, "H"): 2})
     with pytest.raises(ValueError, match="must be positive"):
-        OccupationState(BOSON, ((mode(1, "H"), 0),))
+        OccupationState(((mode(1, "H"), 0),))
 
 
 def test_boson_ladder_amplitudes() -> None:
@@ -386,8 +386,20 @@ def test_state_vectors_prune_below_1e_13_and_sort_by_occupancy() -> None:
     assert StateVector.from_dict(BOSON, {pair: -1e-13j}).is_zero()
     total = state + basis_state(BOSON, [mode(1, "H"), mode(2, "H")])
     assert [o for o, _ in total.terms] == [occ["one"], pair, occ["two"]]
-    with pytest.raises(ValueError):
-        StateVector.from_dict(FERMION, {occ["one"]: 1})
+
+
+def test_single_occupancies_are_one_configuration_under_both_statistics() -> None:
+    for counts in ({}, {mode(1, "H"): 1}, {mode(1, "H"): 1, mode(2, "V"): 1}):
+        assert OccupationState.from_counts(BOSON, counts) == OccupationState.from_counts(
+            FERMION, counts
+        )
+
+
+def test_fermion_state_rejects_a_doubly_occupied_term() -> None:
+    double = OccupationState(((mode(1, "H"), 2),))
+    assert StateVector.from_dict(BOSON, {double: 1}).amplitude(double) == 1
+    with pytest.raises(ValueError, match="fermionic occupancy exceeds 1"):
+        StateVector.from_dict(FERMION, {double: 1})
 
 
 def test_adding_to_a_new_key_gives_negative_zero_components_a_plus_sign() -> None:
@@ -467,7 +479,7 @@ def reference_apply(state: StateVector, transform: ModeTransform) -> StateVector
         for _, n in occ.occupancy:
             norm *= math.factorial(n)
         current = StateVector.from_dict(
-            statistics, {OccupationState(statistics, ()): amp / math.sqrt(norm)}
+            statistics, {OccupationState(()): amp / math.sqrt(norm)}
         )
         for mode_, n in reversed(occ.occupancy):
             images = transform.image(mode_)
