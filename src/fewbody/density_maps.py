@@ -134,6 +134,8 @@ class PairDensityKernel:
 
     A point is an (x, y) pair of scalars or arrays, or a GridSpec standing
     for every cell of that grid (its orbital values from the _grid_values cache).
+    The value is float64, from real orbitals (evaluate_density): a complex
+    orbital under one of the kernel's labels raises ValueError.
     """
 
     density: ReducedDensity
@@ -141,7 +143,7 @@ class PairDensityKernel:
 
     def __call__(self, *points):
         evaluator = {label: mo.evaluate for label, mo in self.mos.items()}
-        points = [self._on_grid(r) if isinstance(r, GridSpec) else tuple(r) for r in points]
+        points = [self._on_grid(r) if isinstance(r, GridSpec) else r for r in points]
         return evaluate_density(self.density, evaluator, points)
 
     def _on_grid(self, spec: GridSpec) -> dict[str, np.ndarray]:
@@ -181,7 +183,7 @@ def conditional_density(
     The slice pair(r, r0) is normalized to unit integral over the
     plotted grid.
     """
-    slice_values = np.asarray(kernel(spec, r0), dtype=float)
+    slice_values = kernel(spec, r0)
     marginal = float(slice_values.sum()) * spec.cell_area
     if marginal <= 1e-15:
         raise VanishingMarginalError(
@@ -206,13 +208,15 @@ def balance_residual(
 ) -> float:
     """Max deviation between fermion and boson full densities at C2 = C1*.
 
-    Each configuration holds one point per particle.  Densities are
-    normalised to unit total weight before comparison, so the check is
-    insensitive to the overall norm of the superposed state.  Raises
-    ZeroNormSuperposition when that weight vanishes, which happens at the
-    ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.  A nonzero C1
-    whose squared modulus overflows or falls below the smallest normal
-    double is taken at unit modulus; a non-finite C1 raises ValueError.
+    Each configuration holds one point per particle.  Each density is the
+    float64 PairDensityKernel value of the superposition's Hermitian kernel
+    on the real orbitals mos, normalised to unit total weight before
+    comparison, so the check is insensitive to the overall norm of the
+    superposed state.  Raises ZeroNormSuperposition when that weight
+    vanishes, which happens at the ground assignment whenever
+    Re(C1^2) <Psi1|Psi2> = -|C1|^2.  A nonzero C1 whose squared modulus
+    overflows or falls below the smallest normal double is taken at unit
+    modulus; a non-finite C1 raises ValueError.
     """
     c1 = complex(c1)
     if not all(map(math.isfinite, (c1.real, c1.imag))):
@@ -222,24 +226,20 @@ def balance_residual(
         c1 /= max(abs(c1.real), abs(c1.imag))
         c1 /= abs(c1)
     c2 = c1.conjugate()
-    evaluator = {label: mo.evaluate for label, mo in mos.items()}
-    densities = {}
+    densities = []
     for statistics in ("fermion", "boson"):
         psi1 = assemble_state(n, "low", statistics)
         psi2 = assemble_state(n, "high", statistics)
-        kernel = spin_trace(c1, psi1, c2, psi2)
+        kernel = PairDensityKernel(spin_trace(c1, psi1, c2, psi2), mos)
         cross = complex(full_overlap(psi1, psi2))
         weight = abs(c1) ** 2 + abs(c2) ** 2 + 2.0 * (c1 * c2.conjugate() * cross).real
         if weight == 0.0:
             raise ZeroNormSuperposition(statistics)
-        densities[statistics] = (kernel, weight)
+        densities.append((kernel, weight))
     worst = 0.0
     for points in configurations:
-        results = {
-            statistics: complex(evaluate_density(kernel, evaluator, points)) / weight
-            for statistics, (kernel, weight) in densities.items()
-        }
-        worst = max(worst, abs(results["fermion"] - results["boson"]))
+        fermion, boson = (kernel(*points) / weight for kernel, weight in densities)
+        worst = max(worst, abs(fermion - boson))
     return worst
 
 
@@ -275,7 +275,7 @@ def antibunching_check(
     else:
         rho = np.asarray(marginal(*spec.open_mesh()), dtype=float)
         rho = np.broadcast_to(rho, spec.resolution)
-    coincidence = np.asarray(kernel(spec, spec), dtype=float)
+    coincidence = kernel(spec, spec)
     mask = rho > DENSITY_FLOOR
     ratios = np.where(mask, coincidence / np.where(mask, rho * rho, 1.0), -np.inf)
     idx = int(np.argmax(ratios))

@@ -319,47 +319,42 @@ def evaluate_density(
 ):
     """Evaluate the kernel diagonal at one position per kept coordinate.
 
-    orbital_evaluator maps a label to phi(x, y).  points holds one entry
-    per kept coordinate: an (x, y) pair (scalars or arrays), or a mapping
-    from label to that coordinate's orbital values, already evaluated.
-    Coordinates given the same point object share their orbital values.
+    orbital_evaluator maps a label to a real phi(x, y).  points holds one
+    entry per kept coordinate: an (x, y) pair (scalars or arrays), or a
+    mapping from label to that coordinate's orbital values, already
+    evaluated.  Each coordinate resolves each of its labels once.
 
-    When every coefficient and every orbital value is real, the products
-    and sums run in float64: they give the real part of the complex ones
-    bit for bit, since the imaginary parts are all zero.  On a 2D grid they
-    run in row tiles on every usable CPU (grid_tiles.tiled), same bytes.
+    Every kernel spin_trace builds is Hermitian, so on real orbitals its
+    diagonal is the sum of Re(coefficient) times real orbital products: it
+    runs in float64, and a complex orbital value raises ValueError.  On a 2D
+    grid the sum runs in row tiles on every usable CPU (grid_tiles.tiled),
+    same bytes.
     """
     if len(points) != len(density.kept):
         raise ValueError("one point per kept coordinate required")
-
-    def resolve(label: str, point):
-        if isinstance(point, Mapping):
-            return point[label]
-        x, y = point
-        return orbital_evaluator[label](x, y)
-
-    phi: dict[tuple[int, str], object] = {}
-    for (ket, bra), _ in density.terms:
-        for point, *labels in zip(points, ket, bra):
-            for label in labels:
-                if (id(point), label) not in phi:
-                    phi[id(point), label] = resolve(label, point)
-    coefs = [complex(coef) for _, coef in density.terms]
-    real = all(c.imag == 0 for c in coefs) and not any(map(np.iscomplexobj, phi.values()))
-    if real:
-        coefs = [c.real for c in coefs]
-    phi_conj = phi if real else {key: np.conjugate(v) for key, v in phi.items()}
-
-    if not coefs:
+    if not density.terms:
         return 0.0
+    labels: list[dict[str, None]] = [{} for _ in points]  # each coordinate's, in first use
+    for (ket, bra), _ in density.terms:
+        for used, *pair in zip(labels, ket, bra):
+            used.update(dict.fromkeys(pair))
+    phi = [
+        {label: point[label] for label in used}
+        if isinstance(point, Mapping)
+        else {label: orbital_evaluator[label](*point) for label in used}
+        for point, used in zip(points, labels)
+    ]
+    if any(np.iscomplexobj(v) for values in phi for v in values.values()):
+        raise ValueError("a density takes real orbital values, not complex ones")
+    coefs = [complex(coef).real for _, coef in density.terms]
 
     def term_sum(i0, i1):
         total = None
         for ((ket, bra), _), coef in zip(density.terms, coefs):
             factors = [
-                tile_rows(f, i0, i1)
-                for point, k, b in zip(points, ket, bra)
-                for f in (phi[id(point), k], phi_conj[id(point), b])
+                tile_rows(values[label], i0, i1)
+                for values, k, b in zip(phi, ket, bra)
+                for label in (k, b)
             ]
             # the first product is a new array: the orbital values stay unchanged
             value = coef * factors[0]
@@ -371,15 +366,6 @@ def evaluate_density(
                 total += value
         return total
 
-    shape = np.broadcast_shapes(*map(np.shape, phi.values()))
-    dtype = np.result_type(coefs[0], *phi.values())
-    total = tiled(term_sum, shape if len(shape) == 2 else (), dtype)
-    if real:
-        return total if np.ndim(total) else float(total)
-    # Hermitian kernels evaluate to real diagonals; drop roundoff imaginary.
-    arr = np.asarray(total)
-    if np.iscomplexobj(arr):
-        scale = float(np.max(np.abs(arr))) or 1.0
-        if float(np.max(np.abs(arr.imag))) <= 1e-12 * scale:
-            total = arr.real if arr.shape else float(arr.real)
-    return total
+    shape = np.broadcast_shapes(*(np.shape(v) for values in phi for v in values.values()))
+    total = tiled(term_sum, shape if len(shape) == 2 else ())
+    return total if np.ndim(total) else float(total)

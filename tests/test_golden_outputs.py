@@ -16,6 +16,8 @@ evaluated on the open mesh (x of shape (nx, 1), y of shape (1, ny)).
 They are checked again with the grid split into row tiles of three rows.
 The `verify` stdout was recorded before the library API that no verb uses
 was cut from spin_algebra, symmetric_group and wavefunction_algebra.
+The balance-check runs on the triangle and on a boson 2.5x1.5 rectangle
+were recorded before density kernels lost their complex evaluation path.
 The odd balanced-square run is repeated in a CLI process pinned to one CPU
 and in one that formats each CSV in blocks of three values, so that block
 edges fall inside rows.
@@ -228,6 +230,68 @@ SQUARE_17_FILES = {
 }
 
 
+# The balance check off the square: the triangle, and a boson rectangle whose
+# sides differ.  The check writes no file, so the triangle's files are those
+# of the run without it.
+TRIANGLE_BALANCED_ARGS = [
+    "density", "--set", "c2_magnitude=1", "--set", "c1_phase=0.39", *GRID_16,
+]
+
+TRIANGLE_BALANCED_STDOUT = TRIANGLE_STDOUT.replace(
+    "   antibunching points checked",
+    "[PASS] boson and fermion densities agree at balance  (max deviation 6.776e-21)\n"
+    "   antibunching points checked",
+)
+
+RECTANGLE_BOSON_ARGS = [
+    "density", "--geometry", "rectangle", "--a", "2.5", "--b", "1.5",
+    "--set", "statistics=boson", "--set", "c2_magnitude=1", "--set", "c1_phase=1.1",
+    *GRID_16,
+]
+
+RECTANGLE_BOSON_STDOUT = """\
+== density:experiment ==
+   geometry: rectangle
+   dimensions: a=2.5 b=1.5
+   particles: 4
+   grid: 16x16
+[PASS] single density integrates to 1  (integral 1.000000)
+[PASS] dual-construction pair kernels agree  (max deviation 0.000e+00)
+[PASS] statistics-independent pair kernel  (max deviation 0.000e+00)
+[PASS] antibunched at all qualifying points  (max ratio 0.666667 at (-1.875, -3.375))
+[PASS] conditional map 1 integrates to 1  (conditioned at (-1.25, 0.75))
+[PASS] conditional map 2 integrates to 1  (conditioned at (1.25, 0.75))
+[PASS] conditional map 3 integrates to 1  (conditioned at (1.25, -0.75))
+[PASS] conditional map 4 integrates to 1  (conditioned at (-1.25, -0.75))
+[PASS] boson and fermion densities agree at balance  (max deviation 1.406e-23)
+   antibunching points checked = 148
+   wrote out/experiment_single.csv
+   wrote out/experiment_single.pgm
+   wrote out/experiment_conditional_1.csv
+   wrote out/experiment_conditional_1.ppm
+   wrote out/experiment_conditional_2.csv
+   wrote out/experiment_conditional_2.ppm
+   wrote out/experiment_conditional_3.csv
+   wrote out/experiment_conditional_3.ppm
+   wrote out/experiment_conditional_4.csv
+   wrote out/experiment_conditional_4.ppm
+RESULT: PASS
+"""
+
+RECTANGLE_BOSON_FILES = {
+    "experiment_conditional_1.csv": (5665, "34ce4aa0d0e772f4868a71a81a4826314c6ff6634d0cdbc2bcd40182d68db713"),
+    "experiment_conditional_1.ppm": (781, "dc2a830f5612fba4e7ad7cb06e4cbd6da6b3e93f83f436a43840a8a96b57b843"),
+    "experiment_conditional_2.csv": (5658, "a4587fae02e5f15cf2c888295d8e37ec16bdc208064005667547e63475f33ae7"),
+    "experiment_conditional_2.ppm": (781, "207cbd10365197b804d368751c0fe01467fa0ccd5ef2adf9db3353d1ba009822"),
+    "experiment_conditional_3.csv": (5658, "a4587fae02e5f15cf2c888295d8e37ec16bdc208064005667547e63475f33ae7"),
+    "experiment_conditional_3.ppm": (781, "dcb13c00b7f24764839c446d17d5b0132d7b451e9607e72abec0676481cbaf98"),
+    "experiment_conditional_4.csv": (5665, "34ce4aa0d0e772f4868a71a81a4826314c6ff6634d0cdbc2bcd40182d68db713"),
+    "experiment_conditional_4.ppm": (781, "edc0d977119ff1e0907fb5d11ebe0329cbf6be1084cf417eeedcbab52130b195"),
+    "experiment_single.csv": (5633, "fa1787b6b82f68ea4d6208f9101a570b0b668e90aac1a6d5c75012cba10eec75"),
+    "experiment_single.pgm": (269, "e9c3114e043c69638fc1886cb2e5ca332701b695d354cdf24f646f61669446de"),
+}
+
+
 @pytest.mark.parametrize(
     "argv, stdout, files",
     [
@@ -235,8 +299,13 @@ SQUARE_17_FILES = {
         (SQUARE_ARGS, SQUARE_STDOUT, SQUARE_FILES),
         (TRIANGLE_17_ARGS, TRIANGLE_17_STDOUT, TRIANGLE_17_FILES),
         (SQUARE_17_ARGS, SQUARE_17_STDOUT, SQUARE_17_FILES),
+        (TRIANGLE_BALANCED_ARGS, TRIANGLE_BALANCED_STDOUT, TRIANGLE_FILES),
+        (RECTANGLE_BOSON_ARGS, RECTANGLE_BOSON_STDOUT, RECTANGLE_BOSON_FILES),
     ],
-    ids=["triangle", "square-balanced", "triangle-odd", "square-balanced-odd"],
+    ids=[
+        "triangle", "square-balanced", "triangle-odd", "square-balanced-odd",
+        "triangle-balanced", "rectangle-boson-balanced",
+    ],
 )
 def test_density_outputs_are_byte_identical(
     argv, stdout, files, tmp_path: Path, capsys, monkeypatch

@@ -315,7 +315,7 @@ def test_evaluate_density_with_constant_orbitals() -> None:
     assert evaluate_density(empty, evaluator, [(0.0, 0.0), (0.0, 0.0)]) == 0.0
 
 
-def test_evaluate_density_drops_roundoff_imaginary_part() -> None:
+def test_c_weighted_kernel_evaluates_to_a_real_nonnegative_density() -> None:
     psi1 = assemble_state(3, "low", "fermion")
     kernel = spin_trace(0.6 + 0.8j, psi1, 0.8 - 0.6j, psi1)
     evaluator = {"g": lambda x, y: np.exp(-(x * x + y * y)), "e": lambda x, y: x}
@@ -378,9 +378,10 @@ def test_assemble_state_invalid_arguments_raise_on_every_call() -> None:
 
 
 def _complex_reference(density, evaluator, points):
-    """The complex128 loop evaluate_density ran before its float64 path:
-    every coefficient and orbital value complex, every label evaluated
-    once per coordinate index."""
+    """The complex128 oracle for evaluate_density's float64 sum: every
+    coefficient and orbital value complex, every label evaluated once per
+    coordinate index, and an imaginary part within 1e-12 of the largest
+    modulus dropped as roundoff."""
     cache = {}
 
     def phi(idx, label):
@@ -431,7 +432,8 @@ def test_float_path_equals_the_complex_loop_bit_for_bit(n, statistics) -> None:
         assert _bits(value) == _bits(expected)
 
 
-def test_complex_orbitals_take_the_complex_path() -> None:
+def test_complex_orbital_values_raise() -> None:
+    from fewbody.density_maps import PairDensityKernel
     from fewbody.orbitals import degenerate_superpositions, rectangle_mos
 
     mos = rectangle_mos(2.0, 2.0)
@@ -440,40 +442,47 @@ def test_complex_orbitals_take_the_complex_path() -> None:
     evaluator = {"g": mos["g"].evaluate, "e": circulating.evaluate}
     state = assemble_state(4, "low", "fermion")
     kernel = marginalize(spin_trace_pair(state, state), (1, 2))
-    grid = _odd_grid()
-    value = evaluate_density(kernel, evaluator, [grid, (1.0, -1.0)])
-    assert _bits(value) == _bits(_complex_reference(kernel, evaluator, [grid, (1.0, -1.0)]))
+    with pytest.raises(ValueError, match="real orbital values"):
+        evaluate_density(kernel, evaluator, [_odd_grid(), (1.0, -1.0)])
+    pair = PairDensityKernel(kernel, {"g": mos["g"], "e": circulating})
+    with pytest.raises(ValueError, match="real orbital values"):
+        pair((0.5, 0.25), (1.0, -1.0))
 
 
-@pytest.mark.parametrize("assignment", ["ground", "generic"])
-def test_conjugate_weighted_kernels_match_the_complex_loop(assignment) -> None:
+@pytest.mark.parametrize(
+    "n, assignment",
+    [(4, "ground"), (4, "generic"), (3, "ground"), (3, "generic")],
+    ids=["ground", "generic", "ground-3", "generic-3"],
+)
+def test_conjugate_weighted_kernels_match_the_complex_loop(n, assignment) -> None:
     """The balance check's kernel C1 Psi1 + C1* Psi2.  At the ground
-    assignment the two branches lie on one ray, the imaginary parts of the
-    cross terms cancel exactly and the float64 path runs; at the generic
-    assignment they do not, and the complex path runs."""
-    from fewbody.orbitals import rectangle_mos
+    assignment the two branches lie on one ray and the imaginary parts of
+    the cross terms cancel exactly; at the generic assignment they do not.
+    At both, the float64 sum over the real parts of the coefficients equals
+    the complex oracle bit for bit."""
+    from fewbody.orbitals import rectangle_mos, triangle_mos
 
-    mos = rectangle_mos(2.0, 2.0)
-    labels = GENERIC_ASSIGNMENT[4] if assignment == "generic" else ("g", "e")
+    mos = triangle_mos(2.0, 2.5) if n == 3 else rectangle_mos(2.0, 2.0)
+    labels = GENERIC_ASSIGNMENT[n] if assignment == "generic" else ("g", "e")
     evaluator = {label: mo.evaluate for label, mo in zip(labels, mos.values())}
-    orbitals = GENERIC_ASSIGNMENT[4] if assignment == "generic" else None
+    orbitals = GENERIC_ASSIGNMENT[n] if assignment == "generic" else None
     c1 = complex(np.cos(0.39), np.sin(0.39))
     kernel = spin_trace(
         c1,
-        assemble_state(4, "low", "boson", orbitals),
+        assemble_state(n, "low", "boson", orbitals),
         c1.conjugate(),
-        assemble_state(4, "high", "boson", orbitals),
+        assemble_state(n, "high", "boson", orbitals),
     )
     has_imaginary = any(complex(coef).imag != 0 for _, coef in kernel.terms)
     assert has_imaginary == (assignment == "generic")
     rng = np.random.default_rng(1)
     for _ in range(6):
-        points = [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(4)]
+        points = [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)]
         value = evaluate_density(kernel, evaluator, points)
         assert _bits(value) == _bits(_complex_reference(kernel, evaluator, points))
 
 
-def test_shared_point_objects_evaluate_each_label_once() -> None:
+def test_each_coordinate_evaluates_each_of_its_labels_once() -> None:
     state = assemble_state(3, "low", "fermion")
     kernel = marginalize(spin_trace_pair(state, state), (1, 2))
     calls = []
@@ -491,12 +500,12 @@ def test_shared_point_objects_evaluate_each_label_once() -> None:
     }
 
     grid = _odd_grid()
-    shared = evaluate_density(kernel, evaluator, [grid, grid])
-    assert sorted(calls) == ["e", "g"]
+    one_object = evaluate_density(kernel, evaluator, [grid, grid])
+    assert sorted(calls) == ["e", "e", "g", "g"]
     calls.clear()
     separate = evaluate_density(kernel, evaluator, [grid, list(grid)])
     assert sorted(calls) == ["e", "e", "g", "g"]
-    assert _bits(shared) == _bits(separate)
+    assert _bits(one_object) == _bits(separate)
 
 
 # -- the shared sparse-vector algebra of the three exact types ------------
