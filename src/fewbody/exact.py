@@ -6,16 +6,15 @@ multiplication, which covers every coefficient produced by Clebsch-Gordan,
 6j and symmetrizer algebra in this package.  Division is supported for
 single-term values only, which is all that state normalization needs.
 
-Adding or multiplying a float or complex gives the complex value
-complex(self) op complex(other): kernels weighted by complex amplitudes
-mix both kinds of coefficient.
+Exact values are built from ints and Fractions only: the ring is closed,
+and combining one with a float or complex raises TypeError.  A caller that
+needs a complex number converts first, complex(value).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
+from numbers import Rational
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -61,9 +60,7 @@ class SqrtRational:
             raise ValueError(f"{self} is irrational")
         return self._terms.get(1, Fraction(0))
 
-    def __add__(self, other: "SqrtRational | Rational | complex"):
-        if isinstance(other, (float, complex)):
-            return complex(self) + complex(other)
+    def __add__(self, other: "SqrtRational | Rational") -> "SqrtRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -84,11 +81,12 @@ class SqrtRational:
         return self + (-other)
 
     def __rsub__(self, other: Rational) -> "SqrtRational":
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
-    def __mul__(self, other: "SqrtRational | Rational | complex"):
-        if isinstance(other, (float, complex)):
-            return complex(self) * complex(other)
+    def __mul__(self, other: "SqrtRational | Rational") -> "SqrtRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -113,20 +111,23 @@ class SqrtRational:
         return self * inv
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = rational(other)
-        if not isinstance(other, SqrtRational):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a rational value hashes as the Fraction (or int) it equals
+        if self.is_rational():
+            return hash(self._terms.get(1, 0))
         return hash(frozenset(self._terms.items()))
 
     def conjugate(self) -> "SqrtRational":
         return self
 
     def __float__(self) -> float:
-        return float(sum(float(c) * r**0.5 for r, c in self._terms.items()))
+        # fsum rounds once, so the value does not depend on the term order
+        return math.fsum(float(c) * r**0.5 for r, c in self._terms.items())
 
     def __complex__(self) -> complex:
         return complex(float(self))
@@ -144,17 +145,23 @@ class SqrtRational:
         return " + ".join(parts)
 
 
-def _coerce(value: "SqrtRational | Rational") -> SqrtRational:
+def _coerce(value: object) -> SqrtRational:
     if isinstance(value, SqrtRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Rational):
         return rational(value)
     return NotImplemented
 
 
+def _fraction(value: Rational) -> Fraction:
+    if not isinstance(value, Rational):
+        raise TypeError(f"an exact value takes an int or Fraction, not {value!r}")
+    return Fraction(value)
+
+
 def sqrt_rational(value: Rational) -> SqrtRational:
     """Exact square root of a non-negative rational."""
-    v = Fraction(value)
+    v = _fraction(value)
     if v < 0:
         raise ValueError(f"sqrt of negative rational {v}")
     if v == 0:
@@ -165,7 +172,7 @@ def sqrt_rational(value: Rational) -> SqrtRational:
 
 
 def rational(value: Rational) -> SqrtRational:
-    return SqrtRational({1: Fraction(value)})
+    return SqrtRational({1: _fraction(value)})
 
 
 ZERO = SqrtRational()

@@ -2,7 +2,10 @@
 
 Clebsch-Gordan coefficients and Wigner 6j symbols from the Racah sum
 formulas in exact arithmetic, and coupled-basis states for three and four
-spins.  Phase convention is Condon-Shortley throughout.
+spins.  Both formulas are one alternating sum over inverse factorials,
+_racah_sum, times the square root of a rational prefactor built from the
+squared triangle factors Delta(a b c)^2.  Phase convention is
+Condon-Shortley throughout.
 
 Coupled-state conventions (pinned by the identity tests):
   * three particles: the lone particle couples first, its complementary
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from operator import attrgetter
 from typing import Union
 
@@ -63,6 +66,22 @@ def _triangle_ok(a: Fraction, b: Fraction, c: Fraction) -> bool:
     return abs(a - b) <= c <= a + b and (a + b + c).denominator == 1
 
 
+def _racah_sum(lows, highs, weight=lambda k: 1) -> Fraction:
+    """Sum over integer k of (-1)^k weight(k) / (prod (k - a)! prod (b - k)!),
+    a in lows and b in highs, over every k that leaves no argument negative."""
+    lows, highs = [int(a) for a in lows], [int(b) for b in highs]
+    total = Fraction(0)
+    for k in range(max(lows), min(highs) + 1):
+        den = prod(factorial(k - a) for a in lows) * prod(factorial(b - k) for b in highs)
+        total += Fraction((-1) ** k * weight(k), den)
+    return total
+
+
+def _delta_squared(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
+    """The triangle factor Delta(a b c)^2 = (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)!."""
+    return Fraction(prod(map(_fact, (a + b - c, a - b + c, -a + b + c))), _fact(a + b + c + 1))
+
+
 @cache
 def clebsch_gordan(
     j1: SpinValue, m1: SpinValue, j2: SpinValue, m2: SpinValue, J: SpinValue, M: SpinValue
@@ -81,55 +100,13 @@ def clebsch_gordan(
     if (j1 - m1).denominator != 1 or (j2 - m2).denominator != 1 or (J - M).denominator != 1:
         return ZERO
 
-    pref = Fraction(
-        (2 * J + 1).numerator
-        * _fact(j1 + j2 - J)
-        * _fact(j1 - j2 + J)
-        * _fact(-j1 + j2 + J),
-        (2 * J + 1).denominator * _fact(j1 + j2 + J + 1),
+    pref = sqrt_rational(
+        (2 * J + 1)
+        * _delta_squared(j1, j2, J)
+        * prod(map(_fact, (J + M, J - M, j1 - m1, j1 + m1, j2 - m2, j2 + m2)))
     )
-    pref *= Fraction(
-        _fact(J + M)
-        * _fact(J - M)
-        * _fact(j1 - m1)
-        * _fact(j1 + m1)
-        * _fact(j2 - m2)
-        * _fact(j2 + m2),
-        1,
-    )
-    total = Fraction(0)
-    k = 0
-    while True:
-        args = (
-            j1 + j2 - J - k,
-            j1 - m1 - k,
-            j2 + m2 - k,
-            J - j2 + m1 + k,
-            J - j1 - m2 + k,
-        )
-        if min(args[:3]) < 0:
-            break
-        if min(args) >= 0:
-            den = (
-                factorial(k)
-                * _fact(args[0])
-                * _fact(args[1])
-                * _fact(args[2])
-                * _fact(args[3])
-                * _fact(args[4])
-            )
-            total += Fraction((-1) ** k, den)
-        k += 1
-    return sqrt_rational(pref) * rational(total)
-
-
-def _delta_factor(a: Fraction, b: Fraction, c: Fraction) -> SqrtRational:
-    return sqrt_rational(
-        Fraction(
-            _fact(a + b - c) * _fact(a - b + c) * _fact(-a + b + c),
-            _fact(a + b + c + 1),
-        )
-    )
+    total = _racah_sum((0, j2 - J - m1, j1 + m2 - J), (j1 + j2 - J, j1 - m1, j2 + m2))
+    return pref * rational(total)
 
 
 def wigner6j(
@@ -140,32 +117,10 @@ def wigner6j(
     triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
     if not all(_triangle_ok(*t) for t in triads):
         return ZERO
-    pref = ONE
-    for t in triads:
-        pref = pref * _delta_factor(*t)
-
-    s1 = j1 + j2 + j3
-    s2 = j1 + j5 + j6
-    s3 = j4 + j2 + j6
-    s4 = j4 + j5 + j3
-    q1 = j1 + j2 + j4 + j5
-    q2 = j2 + j3 + j5 + j6
-    q3 = j3 + j1 + j6 + j4
-    total = Fraction(0)
-    t = max(s1, s2, s3, s4)
-    while t <= min(q1, q2, q3):
-        den = (
-            _fact(t - s1)
-            * _fact(t - s2)
-            * _fact(t - s3)
-            * _fact(t - s4)
-            * _fact(q1 - t)
-            * _fact(q2 - t)
-            * _fact(q3 - t)
-        )
-        total += Fraction((-1) ** int(t) * _fact(t + 1), den)
-        t += 1
-    return pref * rational(total)
+    pref = sqrt_rational(prod(_delta_squared(*t) for t in triads))
+    lows = [sum(t) for t in triads]
+    highs = (j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
+    return pref * rational(_racah_sum(lows, highs, lambda t: factorial(t + 1)))
 
 
 class SpinState(SparseVector):

@@ -14,7 +14,7 @@ printed four-term and sixteen-term expansions in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _iter_permutations
+from itertools import combinations, permutations as _iter_permutations
 from typing import Sequence
 
 
@@ -43,20 +43,8 @@ class Permutation:
         return Permutation(tuple(self(other(c)) for c in range(1, self.n + 1)))
 
     def sign(self) -> int:
-        seen = [False] * self.n
-        sign = 1
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            c = start
-            while not seen[c - 1]:
-                seen[c - 1] = True
-                c = self(c)
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        """(-1) to the number of inversions, pairs i < j with sigma(i) > sigma(j)."""
+        return (-1) ** sum(a > b for a, b in combinations(self.image, 2))
 
     def apply_to_assignment(self, values: Sequence) -> tuple:
         """Relabel coordinates: output[sigma(c)] = input[c]."""

@@ -219,8 +219,9 @@ class ReducedDensity(SparseVector):
     """Operator kernel over orbital assignments of the kept coordinates.
 
     terms maps (ket assignment, bra assignment) pairs to coefficients;
-    coefficients are exact for single-branch traces and complex for
-    C-weighted superpositions.
+    coefficients are exact for single-branch traces and complex for the
+    C-weighted superpositions of spin_trace, which converts each exact
+    coefficient with complex() before it applies the weight.
     """
 
     kept = property(attrgetter("space"))
@@ -269,15 +270,21 @@ def spin_trace(
 ) -> ReducedDensity:
     """Full N-coordinate density of C1 psi1 + C2 psi2:
     |C1|^2 rho_11 + |C2|^2 rho_22 + cross terms.  The branches must share
-    their statistics and particle count.  Raises ValueError when |C1|^2 or
-    |C2|^2 is not finite."""
+    their statistics and particle count.  Each exact kernel coefficient v
+    becomes complex(v) * weight, so the result holds complex coefficients.
+    Raises ValueError when |C1|^2 or |C2|^2 is not finite."""
     if psi1.statistics != psi2.statistics:
         raise ValueError("statistics mismatch between branches")
     c1, c2 = complex(c1), complex(c2)
-    k11 = spin_trace_pair(psi1, psi1).scaled(_squared_modulus("C1", c1))
-    k22 = spin_trace_pair(psi2, psi2).scaled(_squared_modulus("C2", c2))
-    k12 = spin_trace_pair(psi1, psi2).scaled(c1 * c2.conjugate())
-    k21 = spin_trace_pair(psi2, psi1).scaled(c2 * c1.conjugate())
+
+    def weighted(a, b, weight):
+        rho = spin_trace_pair(a, b)
+        return rho._build(rho.kept, {k: complex(v) * weight for k, v in rho.terms})
+
+    k11 = weighted(psi1, psi1, _squared_modulus("C1", c1))
+    k22 = weighted(psi2, psi2, _squared_modulus("C2", c2))
+    k12 = weighted(psi1, psi2, c1 * c2.conjugate())
+    k21 = weighted(psi2, psi1, c2 * c1.conjugate())
     return k11 + k22 + k12 + k21
 
 

@@ -1,6 +1,6 @@
 """Exact radical arithmetic: closure, identities, float agreement."""
 import math
-import struct
+import operator
 from fractions import Fraction
 
 import pytest
@@ -79,10 +79,6 @@ def test_scalar_coercion_both_sides() -> None:
     assert Fraction(1, 2) * sqrt_rational(3) == sqrt_rational(3) / 2
 
 
-def _bits(z: complex) -> bytes:
-    return struct.pack("<dd", z.real, z.imag)
-
-
 @pytest.mark.parametrize(
     "exact", [ZERO, ONE, -sqrt_rational(3) / 2, sqrt_rational(2) / 3 - 1], ids=repr
 )
@@ -91,19 +87,40 @@ def _bits(z: complex) -> bytes:
     [0.1, -0.0, 1e308, complex(-0.0, -0.0), complex(1.5, -0.0), complex(-0.0, 2.5), -0.25j],
     ids=repr,
 )
-def test_float_and_complex_operands_give_the_complex_formula(exact, inexact) -> None:
-    """Mixed with a float or complex, + and * are complex(a) op complex(b) bit for
-    bit, in both operand orders; a -0.0 component keeps its sign where that
-    formula keeps it."""
-    a, b = complex(exact), complex(inexact)
-    for got, want in (
-        (exact + inexact, a + b),
-        (inexact + exact, b + a),
-        (exact * inexact, a * b),
-        (inexact * exact, b * a),
-    ):
-        assert type(got) is complex
-        assert _bits(got) == _bits(want)
+def test_float_and_complex_operands_raise_type_error(exact, inexact) -> None:
+    """The exact ring is closed: +, - and * with a float or complex raise
+    TypeError in both operand orders; a caller converts with complex() first."""
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(exact, inexact)
+        with pytest.raises(TypeError):
+            op(inexact, exact)
+
+
+@pytest.mark.parametrize("inexact", [0.5, 0.1, 2.0, 0.5j])
+def test_exact_values_are_built_from_ints_and_fractions_only(inexact) -> None:
+    with pytest.raises(TypeError):
+        rational(inexact)
+    with pytest.raises(TypeError):
+        sqrt_rational(inexact)
+    assert sqrt_rational(Fraction(9, 4)) == Fraction(3, 2)
+
+
+def test_a_rational_value_hashes_as_the_number_it_equals() -> None:
+    assert hash(rational(2)) == hash(2) and hash(ZERO) == hash(0)
+    assert hash(rational(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    assert hash(sqrt_rational(4)) == hash(2)
+    assert {2: "x"}[rational(2)] == "x"
+    assert {Fraction(1, 2): "y"}[sqrt_rational(Fraction(1, 4))] == "y"
+    assert len({2, rational(2)}) == 1
+    assert len({0, ZERO, Fraction(0)}) == 1
+
+
+def test_float_does_not_depend_on_the_term_order() -> None:
+    forward = sqrt_rational(2) + sqrt_rational(3) + sqrt_rational(5) / 3
+    backward = sqrt_rational(5) / 3 + sqrt_rational(3) + sqrt_rational(2)
+    assert list(forward.terms) != list(backward.terms)
+    assert float(forward).hex() == float(backward).hex() == "0x1.f2209db4915c9p+1"
 
 
 def test_mixed_operands_leave_exact_arithmetic_exact() -> None:

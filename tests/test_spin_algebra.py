@@ -337,3 +337,52 @@ def test_invalid_arguments_raise_on_every_call() -> None:
             coupled_state_3(1, 0.25, UP)
         with pytest.raises(ValueError):
             coupled_state_4(1, 0.25)
+
+
+def _triangle(a: Fraction, b: Fraction):
+    """Every c with (a b c) a triangle."""
+    return [abs(a - b) + k for k in range(int(a + b - abs(a - b)) + 1)]
+
+
+def test_clebsch_gordan_rows_are_orthonormal() -> None:
+    """sum_m1 <j1 m1 j2 M-m1|J M><j1 m1 j2 M-m1|J' M> = delta_JJ', exactly,
+    for every j1, j2 <= 3."""
+    checked = 0
+    for j1 in spins_up_to(Fraction(3)):
+        for j2 in spins_up_to(Fraction(3)):
+            for J, J2 in itertools.product(_triangle(j1, j2), repeat=2):
+                for M in projections(min(J, J2)):
+                    total = sum(
+                        (
+                            clebsch_gordan(j1, m1, j2, M - m1, J, M)
+                            * clebsch_gordan(j1, m1, j2, M - m1, J2, M)
+                            for m1 in projections(j1)
+                        ),
+                        ZERO,
+                    )
+                    assert total == (ONE if J == J2 else ZERO), (j1, j2, J, J2, M)
+                    checked += 1
+    assert checked == 2408
+
+
+def test_wigner6j_is_orthogonal_in_its_third_and_sixth_arguments() -> None:
+    """sum_j3 (2 j3 + 1)(2 j6 + 1) {j1 j2 j3; j4 j5 j6}{j1 j2 j3; j4 j5 j6'}
+    = delta_j6j6', exactly, for every j1, j2, j4, j5 <= 2."""
+    js = list(spins_up_to(Fraction(2)))
+    checked = 0
+    for j1, j2, j4, j5 in itertools.product(js, repeat=4):
+        j3s = [j3 for j3 in _triangle(j1, j2) if j3 in _triangle(j4, j5)]
+        j6s = [j6 for j6 in _triangle(j1, j5) if j6 in _triangle(j4, j2)]
+        for j6, j6b in itertools.product(j6s, repeat=2):
+            total = sum(
+                (
+                    wigner6j(j1, j2, j3, j4, j5, j6)
+                    * wigner6j(j1, j2, j3, j4, j5, j6b)
+                    * rational((2 * j3 + 1) * (2 * j6 + 1))
+                    for j3 in j3s
+                ),
+                ZERO,
+            )
+            assert total == (ONE if j6 == j6b else ZERO), (j1, j2, j4, j5, j6, j6b)
+            checked += 1
+    assert checked == 855

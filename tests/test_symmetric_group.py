@@ -138,3 +138,23 @@ def test_symmetrizer_term_count() -> None:
     sym = build_symmetrizer(((1, 2), (3, 4)))
     assert len(sym) == 16
     assert all(isinstance(p, Permutation) and sign in (1, -1) for p, sign in sym)
+
+
+def _cycle_sign(p: Permutation) -> int:
+    """(-1)^(n - number of cycles): an independent route to the sign."""
+    seen, cycles = set(), 0
+    for start in range(1, p.n + 1):
+        if start not in seen:
+            cycles += 1
+            c = start
+            while c not in seen:
+                seen.add(c)
+                c = p(c)
+    return (-1) ** (p.n - cycles)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sign_matches_the_cycle_count_on_every_permutation(n) -> None:
+    perms = [Permutation(images) for images in permutations(range(1, n + 1))]
+    assert [p.sign() for p in perms] == [_cycle_sign(p) for p in perms]
+    assert sum(p.sign() for p in perms) == (1 if n == 1 else 0)

@@ -555,13 +555,34 @@ def test_exact_keys_must_fit_the_space() -> None:
         PositionWavefunction.from_dict(3, {("g", "e"): 1})
 
 
-def test_kernels_mixing_exact_and_complex_coefficients_add_as_complex() -> None:
-    exact = ReducedDensity.from_dict((1,), {(("g",), ("g",)): sqrt_rational(2)})
-    mixed = exact.scaled(0.5j) + exact
-    ((key, coef),) = mixed.terms
-    assert key == (("g",), ("g",))
-    assert coef == complex(sqrt_rational(2)) * 0.5j + complex(sqrt_rational(2))
-    assert (exact.scaled(1j) - exact.scaled(1j)).is_zero()
+@pytest.mark.parametrize(
+    "c1, c2",
+    [(0.3 + 0.4j, -0.5 + 0.2j), (1.0, -1.0), (-0.6j, 0.8)],
+    ids=["complex", "real", "imaginary"],
+)
+def test_spin_trace_weights_complex_of_each_coefficient(c1, c2) -> None:
+    """spin_trace converts each exact coefficient v to complex(v), then applies
+    its weight, and sums the four kernels in the order k11, k22, k12, k21: its
+    coefficients match that sum bit for bit, signed zeros included."""
+    psi1 = assemble_state(3, "low", "boson", GENERIC_ASSIGNMENT[3])
+    psi2 = assemble_state(3, "high", "boson", GENERIC_ASSIGNMENT[3])
+    c1, c2 = complex(c1), complex(c2)
+    kernels = [
+        ReducedDensity.from_dict(
+            (1, 2, 3), {key: complex(v) * weight for key, v in spin_trace_pair(a, b).terms}
+        )
+        for weight, a, b in (
+            (abs(c1) ** 2, psi1, psi1),
+            (abs(c2) ** 2, psi2, psi2),
+            (c1 * c2.conjugate(), psi1, psi2),
+            (c2 * c1.conjugate(), psi2, psi1),
+        )
+    ]
+    want = kernels[0] + kernels[1] + kernels[2] + kernels[3]
+    got = spin_trace(c1, psi1, c2, psi2)
+    assert all(type(coef) is complex for _, coef in got.terms)
+    assert [key for key, _ in got.terms] == [key for key, _ in want.terms]
+    assert [_bits(coef) for _, coef in got.terms] == [_bits(coef) for _, coef in want.terms]
 
 
 def test_spin_trace_rejects_a_coefficient_whose_square_overflows() -> None:
