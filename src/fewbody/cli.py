@@ -271,21 +271,30 @@ def _frozen_outcome(
     return _two_particle(statistics, convention, outcome), 1e-12 + 4.0 * off_balance
 
 
+@functools.cache
+def _ket(occ: fock_engine.OccupationState) -> str:
+    """The ket text of one configuration, built once per configuration."""
+    return " ".join(f"{n}_{m.site}{m.spin}" for m, n in occ.occupancy) or "vac"
+
+
+@functools.cache
+def _on_one_site(occ: fock_engine.OccupationState) -> bool:
+    """Whether every particle of one configuration sits on one site."""
+    return len({m.site for m, _ in occ.occupancy}) == 1
+
+
 def _format_state(state: StateVector) -> str:
     if state.is_zero():
         return "0"
-    pieces = []
-    for occ, amp in state.terms:
-        ket = " ".join(f"{n}_{m.site}{m.spin}" for m, n in occ.occupancy) or "vac"
-        pieces.append(f"({amp.real:+.6f}{amp.imag:+.6f}i)|{ket}>")
-    return " + ".join(pieces)
+    return " + ".join(
+        f"({amp.real:+.6f}{amp.imag:+.6f}i)|{_ket(occ)}>" for occ, amp in state.terms
+    )
 
 
 def _bunching_probability(state: StateVector) -> float:
     total = 0.0
     for occ, amp in state.terms:
-        sites = {m.site for m, _ in occ.occupancy}
-        if len(sites) == 1:
+        if _on_one_site(occ):
             total += abs(amp) ** 2
     return total
 

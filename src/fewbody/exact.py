@@ -1,10 +1,12 @@
 """Exact arithmetic over sums of rational multiples of square roots.
 
 Values have the form sum_k c_k * sqrt(n_k) with rational c_k and squarefree
-positive integer radicands n_k.  The set is closed under addition and
-multiplication, which covers every coefficient produced by Clebsch-Gordan,
-6j and symmetrizer algebra in this package.  Division is supported for
-single-term values only, which is all that state normalization needs.
+positive integer radicands n_k: construction moves any square factor of a
+radicand into its coefficient, so equal values have equal terms.  The set
+is closed under addition and multiplication, which covers every
+coefficient produced by Clebsch-Gordan, 6j and symmetrizer algebra in this
+package.  Division is supported for single-term values only, which is all
+that state normalization needs.
 
 Exact values are built from ints and Fractions only: the ring is closed,
 and combining one with a float or complex raises TypeError.  A caller that
@@ -12,11 +14,13 @@ needs a complex number converts first, complex(value).
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from numbers import Rational
 
 
+@functools.cache
 def _squarefree_split(n: int) -> tuple[int, int]:
     """Split n > 0 as s*s*m with m squarefree; returns (s, m)."""
     s, m = 1, 1
@@ -38,11 +42,20 @@ class SqrtRational:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
+        # canonical form: each radicand's square factor moves into its
+        # coefficient, so equal values have equal terms
         cleaned = {}
         if terms:
             for rad, coef in terms.items():
+                if rad <= 0:
+                    raise ValueError(f"radicand {rad} is not positive")
+                s, m = _squarefree_split(rad)
+                if s != 1:
+                    coef = coef * s
+                if m in cleaned:
+                    coef = cleaned.pop(m) + coef
                 if coef:
-                    cleaned[rad] = coef
+                    cleaned[m] = coef
         self._terms = cleaned
 
     @property
@@ -93,9 +106,9 @@ class SqrtRational:
         out: dict[int, Fraction] = {}
         for ra, ca in self._terms.items():
             for rb, cb in other._terms.items():
-                s, m = _squarefree_split(ra * rb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb * s
-        return SqrtRational(out)
+                rad = ra * rb
+                out[rad] = out.get(rad, Fraction(0)) + ca * cb
+        return SqrtRational(out)  # folds each product's square factor
 
     __rmul__ = __mul__
 
@@ -167,8 +180,7 @@ def sqrt_rational(value: Rational) -> SqrtRational:
     if v == 0:
         return SqrtRational()
     # sqrt(p/q) = sqrt(p*q)/q
-    s, m = _squarefree_split(v.numerator * v.denominator)
-    return SqrtRational({m: Fraction(s, v.denominator)})
+    return SqrtRational({v.numerator * v.denominator: Fraction(1, v.denominator)})
 
 
 def rational(value: Rational) -> SqrtRational:

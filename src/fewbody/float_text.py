@@ -19,7 +19,6 @@ tie or of the half-ulp bound take repr itself.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -71,10 +70,13 @@ def _tables() -> Tables:
     """The tables, built once on first use: importing the module builds none."""
     powers = []
     for k in POWERS:
-        exact = Fraction(10) ** k
-        hi = float(exact)
+        # 10**k = num/den; int/int true division rounds correctly, and
+        # num/den - p/q is exactly (num*q - p*den)/(den*q)
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
         high = hi * SPLIT - (hi * SPLIT - hi)
-        powers.append((hi, high, hi - high, float(exact - Fraction(hi))))
+        powers.append((hi, high, hi - high, (num * q - p * den) / (den * q)))
     quads = np.arange(10000, dtype=np.int16)[:, None]
     dotted = np.full((10000, 8), ord("."), np.uint8)
     dotted[:, ::2] = quads // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")

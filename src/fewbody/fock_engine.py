@@ -11,6 +11,12 @@ and re-expanding with statistics-correct signs and factors.
 
 The mode order is frozen (site-major, label-minor) so fermionic signs
 are reproducible; it is a property of the engine, not a configuration.
+
+Modes and occupation configurations are tuple types (typing.NamedTuple
+subclasses that validate on construction), so the per-step cache lookups,
+sums and term sorts hash and compare them in C.  A configuration is a
+value: a caller may cache work on it, as the `hom` report caches each
+configuration's ket text.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .sparse import SparseVector
 
@@ -28,16 +34,23 @@ FERMION = "fermion"
 _PRUNE = 1e-13
 
 
-@dataclass(frozen=True, order=True)
-class Mode:
-    """One single-particle channel: spatial site plus internal label."""
-
+class _ModeFields(NamedTuple):
     site: int
     spin: str
 
-    def __post_init__(self) -> None:
-        if self.site not in (1, 2):
+
+class Mode(_ModeFields):
+    """One single-particle channel: spatial site plus internal label.
+
+    A tuple (site, spin), so modes hash, compare and sort site-major, then
+    by label, in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, site: int, spin: str) -> "Mode":
+        if site not in (1, 2):
             raise ValueError("site must be 1 or 2")
+        return super().__new__(cls, site, spin)
 
 
 def _check_statistics(statistics: str) -> str:
@@ -46,16 +59,23 @@ def _check_statistics(statistics: str) -> str:
     return statistics
 
 
-@dataclass(frozen=True)
-class OccupationState:
-    """Occupancy per mode, kept sorted in the fixed mode order."""
-
+class _OccupationFields(NamedTuple):
     occupancy: tuple[tuple[Mode, int], ...]
 
-    def __post_init__(self) -> None:
-        for mode, n in self.occupancy:
+
+class OccupationState(_OccupationFields):
+    """Occupancy per mode, kept sorted in the fixed mode order.
+
+    A one-field tuple (occupancy,), so configurations hash, compare and
+    sort by their occupancy, in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, occupancy: tuple[tuple[Mode, int], ...]) -> "OccupationState":
+        for _, n in occupancy:
             if n <= 0:
                 raise ValueError("stored occupancies must be positive")
+        return super().__new__(cls, occupancy)
 
     @staticmethod
     def from_counts(statistics: str, counts: Mapping[Mode, int]) -> "OccupationState":
@@ -80,7 +100,6 @@ class StateVector(SparseVector):
     statistics = property(attrgetter("space"))
     _coerce = complex
     _keep = staticmethod(lambda amp: abs(amp) > _PRUNE)
-    _sort_key = staticmethod(lambda item: item[0].occupancy)
     # bound here, not only inherited: perfbench/tracer.py wraps them
     # through StateVector.__dict__
     __add__ = SparseVector.__add__

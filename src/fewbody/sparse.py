@@ -8,11 +8,10 @@ rule as class attributes:
 
   * `_coerce(value)` turns an input coefficient into a stored one;
   * `_keep(value)` is false for a coefficient to prune;
-  * `_sort_key` is the sort key of a (key, coefficient) term;
   * `_checked(space, keys)` validates the space and the keys, raising
     ValueError, and returns the space to store.
 
-Terms are sorted, so two equal vectors compare and hash equal.
+Terms are sorted by key, so two equal vectors compare and hash equal.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ class SparseVector:
 
     _coerce = staticmethod(lambda value: value)
     _keep = bool
-    _sort_key = itemgetter(0)
 
     @staticmethod
     def _checked(space: Any, keys: Iterable[Hashable]) -> Any:
@@ -49,7 +47,7 @@ class SparseVector:
             value = coerce(value)
             if keep(value):
                 items.append((key, value))
-        items.sort(key=cls._sort_key)
+        items.sort(key=itemgetter(0))
         return cls(space, tuple(items))
 
     def as_dict(self) -> dict:

@@ -17,6 +17,20 @@ def test_squarefree_normalization() -> None:
     assert sqrt_rational(Fraction(3, 4)) == sqrt_rational(3) / 2
 
 
+def test_radicands_are_made_squarefree_on_construction() -> None:
+    four = SqrtRational({4: Fraction(1)})
+    assert four == rational(2) and hash(four) == hash(rational(2))
+    assert str(four) == "2" and four.terms == {1: Fraction(2)}
+    assert SqrtRational({8: Fraction(1, 2), 2: Fraction(-1)}) == ZERO
+    assert SqrtRational({12: Fraction(1), 3: Fraction(1)}) == 3 * sqrt_rational(3)
+
+
+@pytest.mark.parametrize("radicand", [0, -1, -4])
+def test_a_non_positive_radicand_raises(radicand: int) -> None:
+    with pytest.raises(ValueError, match="radicand"):
+        SqrtRational({radicand: Fraction(1)})
+
+
 def test_sqrt_of_fraction() -> None:
     # sqrt(p/q) = sqrt(p*q)/q
     v = sqrt_rational(Fraction(2, 3))
@@ -131,6 +145,7 @@ def test_mixed_operands_leave_exact_arithmetic_exact() -> None:
 small_rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
 )
+# squarefree or not: construction makes every drawn value canonical
 small_radicands = st.integers(min_value=1, max_value=30)
 
 

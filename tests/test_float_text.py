@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -112,3 +113,16 @@ def test_importing_the_cli_builds_no_table() -> None:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "0\n")
+
+
+def test_power_tables_match_the_fraction_construction() -> None:
+    # the reference rounds each exact power of ten and its remainder through Fraction
+    reference = []
+    for k in float_text.POWERS:
+        exact = Fraction(10) ** k
+        hi = float(exact)
+        high = hi * float_text.SPLIT - (hi * float_text.SPLIT - hi)
+        reference.append((hi, high, hi - high, float(exact - Fraction(hi))))
+    tables = float_text._tables()
+    built = np.stack([tables.hi, tables.hi_high, tables.hi_low, tables.lo], axis=1)
+    assert built.view(np.uint64).tolist() == np.array(reference).view(np.uint64).tolist()

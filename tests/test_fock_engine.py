@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fewbody
+from fewbody import fock_engine
 from fewbody.fock_engine import (
     ATOMIC,
     BOSON,
@@ -416,6 +417,40 @@ def test_mode_validation() -> None:
         Mode(3, "H")
     with pytest.raises(ValueError):
         Mode(0, "H")
+
+
+def test_modes_sort_site_major_then_by_label() -> None:
+    modes = [Mode(2, "V"), Mode(1, HBAR), Mode(2, "H"), Mode(1, "V"), Mode(1, "H")]
+    assert sorted(modes) == [
+        Mode(1, "H"), Mode(1, HBAR), Mode(1, "V"), Mode(2, "H"), Mode(2, "V")
+    ]
+    assert Mode(1, "V") < Mode(2, "H") and Mode(2, "H") < Mode(2, "V")
+
+
+def test_equal_configurations_are_one_key_and_a_repeated_step_is_one_lookup() -> None:
+    built = OccupationState.from_counts(BOSON, {mode(2, "V"): 2, mode(1, "H"): 1})
+    literal = OccupationState(((mode(1, "H"), 1), (mode(2, "V"), 2)))
+    assert built is not literal and built == literal and hash(built) == hash(literal)
+    assert len({built: 1, literal: 2}) == 1
+    raised, factor = fock_engine._raised(built, mode(2, "V"), BOSON)
+    assert raised == OccupationState(((mode(1, "H"), 1), (mode(2, "V"), 3)))
+    assert factor == math.sqrt(3)
+    assert fock_engine._raised(literal, mode(2, "V"), BOSON)[0] is raised
+
+
+def test_configurations_keep_positive_occupancies() -> None:
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="stored occupancies must be positive"):
+            OccupationState(((mode(1, "H"), 1), (mode(2, "H"), n)))
+
+
+def test_mode_and_configuration_reprs() -> None:
+    assert repr(Mode(2, "V")) == "Mode(site=2, spin='V')"
+    assert repr(OccupationState(((Mode(1, "H"), 1), (Mode(2, HBAR), 1)))) == (
+        "OccupationState(occupancy=((Mode(site=1, spin='H'), 1), "
+        "(Mode(site=2, spin='H̄'), 1)))"
+    )
+    assert repr(fock_engine.VACUUM) == "OccupationState(occupancy=())"
 
 
 def test_global_phase_applies_uniformly() -> None:
