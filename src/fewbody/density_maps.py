@@ -236,9 +236,17 @@ def balance_residual(
         if weight == 0.0:
             raise ZeroNormSuperposition(statistics)
         densities.append((kernel, weight))
+    # each site Gaussian is evaluated once per point, for every orbital of
+    # both statistics' kernels (evaluate_orbitals: as each evaluate gives it)
+    labels = sorted({
+        label for kernel, _ in densities for (ket, bra), _ in kernel.density.terms
+        for label in ket + bra
+    })
+    used = [mos[label] for label in labels]
     worst = 0.0
     for points in configurations:
-        fermion, boson = (kernel(*points) / weight for kernel, weight in densities)
+        values = [dict(zip(labels, evaluate_orbitals(used, *point))) for point in points]
+        fermion, boson = (kernel(*values) / weight for kernel, weight in densities)
         worst = max(worst, abs(fermion - boson))
     return worst
 

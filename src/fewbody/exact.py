@@ -77,10 +77,21 @@ class SqrtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self._terms) == 1 == len(other._terms):  # the common case: one radicand
+            ((ra, ca),) = self._terms.items()
+            ((rb, cb),) = other._terms.items()
+            if ra == rb:
+                coef = ca + cb
+                return _canonical({ra: coef} if coef else {})
         merged = dict(self._terms)
         for rad, coef in other._terms.items():
-            merged[rad] = merged.get(rad, Fraction(0)) + coef
-        return SqrtRational(merged)
+            if rad in merged:
+                coef = merged[rad] + coef
+                if not coef:
+                    del merged[rad]
+                    continue
+            merged[rad] = coef
+        return _canonical(merged)
 
     __radd__ = __add__
 
@@ -103,12 +114,17 @@ class SqrtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self._terms) == 1 == len(other._terms):  # the common case: one term each
+            ((ra, ca),) = self._terms.items()
+            ((rb, cb),) = other._terms.items()
+            rad, coef = _product(ra, ca, rb, cb)
+            return _canonical({rad: coef})
         out: dict[int, Fraction] = {}
         for ra, ca in self._terms.items():
             for rb, cb in other._terms.items():
-                rad = ra * rb
-                out[rad] = out.get(rad, Fraction(0)) + ca * cb
-        return SqrtRational(out)  # folds each product's square factor
+                rad, coef = _product(ra, ca, rb, cb)
+                out[rad] = out[rad] + coef if rad in out else coef
+        return _canonical({rad: coef for rad, coef in out.items() if coef})
 
     __rmul__ = __mul__
 
@@ -158,6 +174,24 @@ class SqrtRational:
         return " + ".join(parts)
 
 
+def _canonical(terms: dict[int, Fraction]) -> SqrtRational:
+    """The value of terms that are already canonical: squarefree radicands,
+    no zero coefficient.  Sums and products of canonical values are."""
+    value = object.__new__(SqrtRational)
+    value._terms = terms
+    return value
+
+
+def _product(ra: int, ca: Fraction, rb: int, cb: Fraction) -> tuple[int, Fraction]:
+    """(ca sqrt(ra)) (cb sqrt(rb)) as one canonical term, ra and rb squarefree.
+
+    With g = gcd(ra, rb), ra rb = g^2 (ra/g) (rb/g), and (ra/g) (rb/g) is
+    squarefree: a prime dividing both quotients would divide g, and its
+    square ra or rb."""
+    g = math.gcd(ra, rb)
+    return ra // g * (rb // g), ca * cb if g == 1 else ca * cb * g
+
+
 def _coerce(value: object) -> SqrtRational:
     if isinstance(value, SqrtRational):
         return value
@@ -184,7 +218,8 @@ def sqrt_rational(value: Rational) -> SqrtRational:
 
 
 def rational(value: Rational) -> SqrtRational:
-    return SqrtRational({1: _fraction(value)})
+    v = _fraction(value)
+    return _canonical({1: v} if v else {})
 
 
 ZERO = SqrtRational()

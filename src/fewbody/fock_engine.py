@@ -13,8 +13,8 @@ The mode order is frozen (site-major, label-minor) so fermionic signs
 are reproducible; it is a property of the engine, not a configuration.
 
 Modes and occupation configurations are tuple types (typing.NamedTuple
-subclasses that validate on construction), so the per-step cache lookups,
-sums and term sorts hash and compare them in C.  A configuration is a
+subclasses that validate on construction, by _make and _replace too), so
+the per-step cache lookups, sums and term sorts hash and compare them in C.  A configuration is a
 value: a caller may cache work on it, as the `hom` report caches each
 configuration's ket text.
 """
@@ -52,6 +52,10 @@ class Mode(_ModeFields):
             raise ValueError("site must be 1 or 2")
         return super().__new__(cls, site, spin)
 
+    @classmethod
+    def _make(cls, iterable) -> "Mode":
+        return cls(*iterable)  # through __new__, so _replace validates too
+
 
 def _check_statistics(statistics: str) -> str:
     if statistics not in (BOSON, FERMION):
@@ -76,6 +80,10 @@ class OccupationState(_OccupationFields):
             if n <= 0:
                 raise ValueError("stored occupancies must be positive")
         return super().__new__(cls, occupancy)
+
+    @classmethod
+    def _make(cls, iterable) -> "OccupationState":
+        return cls(*iterable)  # through __new__, so _replace validates too
 
     @staticmethod
     def from_counts(statistics: str, counts: Mapping[Mode, int]) -> "OccupationState":

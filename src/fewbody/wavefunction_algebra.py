@@ -5,7 +5,9 @@ labels; every coefficient is exact.  Full spin (x) position states for
 three and four particles are assembled from the coupled spin families and
 the Young-symmetrized position families, and densities are obtained by
 tracing out spins and marginalizing coordinates through orbital
-orthonormality.
+orthonormality.  Position families, assembled states and the spin traces
+of assembled states are cached on their arguments, so each is built once
+per process; a trace accumulates in Python ints (_weighted_outer).
 
 The position families follow the printed four-term (three-particle) and
 sixteen-term (four-particle) expansions: one standard-tableau member is
@@ -17,7 +19,7 @@ doubly occupied, the rest e) puts the paired orbital in the first row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
@@ -28,7 +30,7 @@ import numpy as np
 from .exact import ONE, ZERO, SqrtRational, rational, sqrt_rational
 from .grid_tiles import tile_rows, tiled
 from .sparse import SparseVector
-from .spin_algebra import UP, SpinState, spin_family, spin_overlap
+from .spin_algebra import UP, SpinState, family_gram, spin_family, spin_overlap
 from .symmetric_group import Permutation, apply_symmetrizer, build_symmetrizer
 
 Scalar = Union[int, Fraction, SqrtRational]
@@ -94,13 +96,21 @@ def build_position_family(
     columns antisymmetrized); kind 1 pairs with the pair-triplet family
     (conjugate role assignment on the same tableau).  orbital_assignment
     lists the orbital in each slot I, II, III(, IV); default is the
-    doubly occupied ground configuration.
+    doubly occupied ground configuration.  Families are cached on the
+    normalized arguments, so the two assembled states that share a family
+    build it once.
     """
     if n not in (3, 4):
         raise ValueError(f"n = {n} not in {{3, 4}}")
     if kind not in (0, 1):
         raise ValueError(f"kind = {kind} not in {{0, 1}}")
-    orbitals = tuple(orbital_assignment or GROUND_ASSIGNMENT[n])
+    return list(_position_family(n, kind, tuple(orbital_assignment or GROUND_ASSIGNMENT[n])))
+
+
+@cache
+def _position_family(
+    n: int, kind: int, orbitals: tuple[str, ...]
+) -> tuple[PositionWavefunction, ...]:
     if len(orbitals) != n:
         raise ValueError(f"need {n} orbital labels, got {len(orbitals)}")
     tableau = _STANDARD_TABLEAU[n]
@@ -114,7 +124,7 @@ def build_position_family(
             f"assignment {orbitals} vanishes under the partition"
             f" {tuple(map(len, tableau))} symmetrizer"
         )
-    return [standard.permuted(p) for p in _MEMBER_RELABELINGS[n]]
+    return tuple(standard.permuted(p) for p in _MEMBER_RELABELINGS[n])
 
 
 def project_out_symmetric_sum(
@@ -140,11 +150,17 @@ def project_out_symmetric_sum(
 
 @dataclass(frozen=True)
 class SpinPositionState:
-    """Assembled state sum_i spin_i (x) position_i with a statistics tag."""
+    """Assembled state sum_i spin_i (x) position_i with a statistics tag.
+
+    key holds assemble_state's normalized arguments for a state it built,
+    and is None for any other; it keys the cached spin Grams and traces and
+    is no part of the value.
+    """
 
     n: int
     statistics: str
     pairs: tuple[tuple[SpinState, PositionWavefunction], ...]
+    key: tuple | None = field(default=None, compare=False, repr=False)
 
     def scaled(self, factor: Scalar) -> "SpinPositionState":
         return SpinPositionState(
@@ -159,17 +175,27 @@ def full_overlap(a: SpinPositionState, b: SpinPositionState) -> SqrtRational:
     if a.n != b.n:
         raise ValueError("particle-count mismatch")
     total = ZERO
-    for chi_a, phi_a in a.pairs:
-        for chi_b, phi_b in b.pairs:
-            s = spin_overlap(chi_a, chi_b)
-            if s.is_zero():
-                continue
-            # orthonormal orbitals: assignments contract by Kronecker delta
-            p = phi_a.inner(phi_b, ZERO)
-            if p.is_zero():
-                continue
-            total = total + s.conjugate() * p
+    for row, (_, phi_a) in zip(_spin_gram(a, b), a.pairs):
+        for s, (_, phi_b) in zip(row, b.pairs):
+            if s:
+                # orthonormal orbitals: assignments contract by Kronecker delta
+                total = total + s * phi_a.inner(phi_b, ZERO)
     return total
+
+
+def _spin_gram(a: SpinPositionState, b: SpinPositionState) -> Sequence[Sequence[SqrtRational]]:
+    """G[i][j] = <chi^a_i|chi^b_j> over the spin parts, real, so also the
+    weight <chi^b_j|chi^a_i> of |phi^a_i><phi^b_j| in a spin trace.  Two
+    assembled states read their families' cached Gram."""
+    if a.key is None or b.key is None:
+        return [[spin_overlap(chi_a, chi_b) for chi_b, _ in b.pairs] for chi_a, _ in a.pairs]
+    return family_gram(a.n, _spin_family_key(a.key), _spin_family_key(b.key))
+
+
+def _spin_family_key(key: tuple) -> tuple[int, Fraction]:
+    """The (s_pair, m) of the spin family of the state assembled on key."""
+    _, coupling, _, _, m = key
+    return (0 if coupling == "low" else 1), m
 
 
 def assemble_state(
@@ -185,12 +211,13 @@ def assemble_state(
     pair the low family with kind-0 position parts and the high family
     with kind-1 parts; bosons interchange the position kinds.  m selects
     M = +-1/2 for n = 3 and is ignored for n = 4 (S = 0).  States are
-    cached on the normalized arguments (assignment as a tuple, m as a
-    Fraction); the returned state is immutable and may be shared.
+    cached on the normalized arguments (assignment as a tuple, the ground
+    one when None, m as a Fraction); the returned state is immutable and may
+    be shared.
     """
-    if orbital_assignment is not None:
-        orbital_assignment = tuple(orbital_assignment)
-    return _assemble_state(n, coupling, statistics, orbital_assignment, Fraction(m))
+    if orbital_assignment is None:
+        orbital_assignment = GROUND_ASSIGNMENT.get(n, ())  # an invalid n raises below
+    return _assemble_state(n, coupling, statistics, tuple(orbital_assignment), Fraction(m))
 
 
 @cache
@@ -198,7 +225,7 @@ def _assemble_state(
     n: int,
     coupling: str,
     statistics: str,
-    orbital_assignment: tuple[str, ...] | None,
+    orbital_assignment: tuple[str, ...],
     m: Fraction,
 ) -> SpinPositionState:
     if coupling not in ("low", "high"):
@@ -208,11 +235,12 @@ def _assemble_state(
     s_pair = 0 if coupling == "low" else 1
     position_kind = s_pair if statistics == "fermion" else 1 - s_pair
     positions = build_position_family(n, position_kind, orbital_assignment)  # checks n
+    key = (n, coupling, statistics, orbital_assignment, m)
     spins = spin_family(n, s_pair, m)
-    state = SpinPositionState(n, statistics, tuple(zip(spins, positions)))
+    state = SpinPositionState(n, statistics, tuple(zip(spins, positions)), key)
     # nonzero: the norm is the trace of collapsed_trace, (3/2) sum_i |Phi_i|^2
     norm_sq = full_overlap(state, state)
-    return state.scaled(ONE / sqrt_rational(norm_sq.as_rational()))
+    return replace(state.scaled(ONE / sqrt_rational(norm_sq.as_rational())), key=key)
 
 
 class ReducedDensity(SparseVector):
@@ -232,16 +260,29 @@ class ReducedDensity(SparseVector):
 
 
 def spin_trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensity:
-    """Position kernel of Tr_spin |a><b|, exact coefficients."""
+    """Position kernel of Tr_spin |a><b|, exact coefficients.
+
+    Kernels of assembled states are cached on their keys, and rho(b, a) is
+    the ket<->bra transpose of rho(a, b): every coefficient is real.
+    """
     if a.n != b.n:
         raise ValueError("particle-count mismatch")
-    out: dict = {}
-    for chi_a, phi_a in a.pairs:
-        for chi_b, phi_b in b.pairs:
-            weight = spin_overlap(chi_b, chi_a)
-            if not weight.is_zero():
-                _add_outer(out, weight, phi_a, phi_b)
-    return ReducedDensity.from_dict(tuple(range(1, a.n + 1)), out)
+    if a.key is None or b.key is None:
+        return _trace_pair(a, b)
+    return _cached_trace_pair(a.key, b.key)
+
+
+@cache
+def _cached_trace_pair(a_key: tuple, b_key: tuple) -> ReducedDensity:
+    if b_key < a_key:
+        rho = _cached_trace_pair(b_key, a_key)
+        return rho._build(rho.kept, {(bra, ket): c for (ket, bra), c in rho.terms})
+    return _trace_pair(_assemble_state(*a_key), _assemble_state(*b_key))
+
+
+def _trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensity:
+    phis_a, phis_b = ([phi for _, phi in state.pairs] for state in (a, b))
+    return _weighted_outer(a.n, _spin_gram(a, b), phis_a, phis_b)
 
 
 def collapsed_trace(state: SpinPositionState) -> ReducedDensity:
@@ -249,20 +290,69 @@ def collapsed_trace(state: SpinPositionState) -> ReducedDensity:
     spin overlap.  It equals spin_trace_pair(state, state) when the spin Gram
     is (3/2) I - (1/2) J and the position parts sum to zero, as they do in
     every assembled state: the J term drops out."""
-    out: dict = {}
+    phis = [phi for _, phi in state.pairs]
     weight = rational(Fraction(3, 2))
-    for _, phi in state.pairs:
-        _add_outer(out, weight, phi, phi)
-    return ReducedDensity.from_dict(tuple(range(1, state.n + 1)), out)
+    diagonal = [[weight if i == j else ZERO for j in range(len(phis))] for i in range(len(phis))]
+    return _weighted_outer(state.n, diagonal, phis, phis)
 
 
-def _add_outer(out: dict, weight: SqrtRational, phi_a, phi_b) -> None:
-    """Add weight * |phi_a><phi_b| to the kernel terms out, keyed (ket, bra)."""
-    for ket, ca in phi_a.terms:
-        weighted = weight * ca
-        for bra, cb in phi_b.terms:
-            key = (ket, bra)
-            out[key] = out.get(key, ZERO) + weighted * cb.conjugate()
+def _weighted_outer(n: int, gram, phis_a, phis_b) -> ReducedDensity:
+    """sum_ij gram[i][j] |phi_a_i><phi_b_j| as a kernel over n coordinates.
+
+    Each phi splits, per radicand, into an integer vector times one exact
+    scale (_split).  The blocks are grouped by their exact weight (the gram
+    entry times the two scales), and with every weight written over one
+    integer denominator per radicand, each kernel entry sums in Python ints
+    and becomes one exact value.
+    """
+    splits_b = [_split(phi) for phi in phis_b]
+    # weight -> ket part -> (its integer vector, the bra vectors summed against it)
+    groups: dict[SqrtRational, dict[tuple[int, int], tuple[dict, dict]]] = {}
+    for i, (row, phi_a) in enumerate(zip(gram, phis_a)):
+        for p, (scale_a, kets) in enumerate(_split(phi_a)):
+            for g, split_b in zip(row, splits_b):
+                if not g:
+                    continue
+                for scale_b, bras in split_b:
+                    rows = groups.setdefault(g * scale_a * scale_b, {})
+                    summed = rows.setdefault((i, p), (kets, {}))[1]
+                    for bra, y in bras.items():
+                        summed[bra] = summed.get(bra, 0) + y
+    # each weight's coefficients over one integer denominator per radicand
+    dens: dict[int, int] = {}
+    for weight in groups:
+        for rad, c in weight.terms.items():
+            dens[rad] = math.lcm(dens.get(rad, 1), c.denominator)
+    sums: dict = {}
+    for weight, rows in groups.items():
+        nums = [(r, c.numerator * (dens[r] // c.denominator)) for r, c in weight.terms.items()]
+        for kets, bras in rows.values():
+            for ket, x in kets.items():
+                for bra, y in bras.items():
+                    entry = sums.setdefault((ket, bra), {})
+                    for rad, a in nums:
+                        entry[rad] = entry.get(rad, 0) + a * x * y
+    out = {
+        key: SqrtRational({r: Fraction(total, dens[r]) for r, total in entry.items() if total})
+        for key, entry in sums.items()
+    }
+    return ReducedDensity.from_dict(tuple(range(1, n + 1)), out)
+
+
+def _split(phi: PositionWavefunction) -> list[tuple[SqrtRational, dict]]:
+    """phi as a sum over its radicands r of an exact scale c sqrt(r), c > 0,
+    times an integer vector: [(scale, {assignment: int}), ...]."""
+    parts: dict[int, dict] = {}
+    for assignment, coef in phi.terms:
+        for rad, c in coef.terms.items():
+            parts.setdefault(rad, {})[assignment] = c
+    split = []
+    for rad, part in parts.items():
+        den = math.lcm(*(c.denominator for c in part.values()))
+        num = math.gcd(*(c.numerator for c in part.values()))
+        ints = {k: c.numerator // num * (den // c.denominator) for k, c in part.items()}
+        split.append((SqrtRational({rad: Fraction(num, den)}), ints))
+    return split
 
 
 def spin_trace(
@@ -356,13 +446,11 @@ def evaluate_density(
     coefs = [complex(coef).real for _, coef in density.terms]
 
     def term_sum(i0, i1):
+        # each coordinate's orbital rows of this tile, sliced once for every term
+        rows = [{label: tile_rows(v, i0, i1) for label, v in values.items()} for values in phi]
         total = None
         for ((ket, bra), _), coef in zip(density.terms, coefs):
-            factors = [
-                tile_rows(values[label], i0, i1)
-                for values, k, b in zip(phi, ket, bra)
-                for label in (k, b)
-            ]
+            factors = [row[label] for row, k, b in zip(rows, ket, bra) for label in (k, b)]
             # the first product is a new array: the orbital values stay unchanged
             value = coef * factors[0]
             for factor in factors[1:]:

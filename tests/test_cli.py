@@ -909,6 +909,34 @@ def test_a_closed_pipe_keeps_the_exit_code_and_prints_no_error(
     assert (run.returncode, run.stderr) == (code, "")
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_balance_configurations_are_the_seed_1_draws(n: int) -> None:
+    rng = np.random.default_rng(1)
+    drawn = [[tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)] for _ in range(6)]
+    config = ExperimentConfig(c2_magnitude=1.0)
+    with mock.patch.object(density_maps, "balance_residual", return_value=0.0) as check:
+        cli._balance_residual(config, n, {})
+    ((_, _, _, configurations), _) = check.call_args
+    assert configurations == drawn
+    assert all(type(x) is float for points in configurations for p in points for x in p)
+
+
+def test_a_density_run_leaves_out_numpy_random(tmp_path: Path) -> None:
+    argv = ["density", "--output-dir", str(tmp_path), "--set", "nx=16", "--set", "ny=16",
+            "--set", "c2_magnitude=1", "--set", "c1_phase=0.39"]
+    code = (
+        "import contextlib, io, sys\n"
+        "from fewbody.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "0 False\n")
+
+
 def test_importing_the_cli_leaves_out_argparse() -> None:
     code = "import sys, fewbody.cli\nprint('argparse' in sys.modules)\n"
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -419,6 +419,21 @@ def test_mode_validation() -> None:
         Mode(0, "H")
 
 
+def test_make_and_replace_validate_like_the_constructor() -> None:
+    with pytest.raises(ValueError, match="site must be 1 or 2"):
+        Mode._make((3, "H"))
+    with pytest.raises(ValueError, match="site must be 1 or 2"):
+        Mode(1, "H")._replace(site=3)
+    occ = OccupationState(((Mode(1, "H"), 1),))
+    with pytest.raises(ValueError, match="stored occupancies must be positive"):
+        OccupationState._make((((Mode(1, "H"), 0),),))
+    with pytest.raises(ValueError, match="stored occupancies must be positive"):
+        occ._replace(occupancy=((Mode(1, "H"), -1),))
+    moved = Mode(1, "H")._replace(site=2)
+    assert type(moved) is Mode and moved == Mode(2, "H")
+    assert type(occ._replace()) is OccupationState and occ._replace() == occ
+
+
 def test_modes_sort_site_major_then_by_label() -> None:
     modes = [Mode(2, "V"), Mode(1, HBAR), Mode(2, "H"), Mode(1, "V"), Mode(1, "H")]
     assert sorted(modes) == [

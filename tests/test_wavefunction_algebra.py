@@ -1,4 +1,5 @@
 """Symmetrized position families, assembled states, spin-traced kernels."""
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from fewbody.exact import ONE, ZERO, rational, sqrt_rational
-from fewbody.spin_algebra import DOWN, UP, SpinState, family_3, family_4
+from fewbody.spin_algebra import DOWN, UP, SpinState, family_3, family_4, spin_overlap
 from fewbody.symmetric_group import Permutation
 from fewbody.wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
@@ -198,6 +199,39 @@ def test_spin_trace_collapses_to_the_position_sum(n, assignment, coupling, stati
     orbitals = GENERIC_ASSIGNMENT[n] if assignment == "generic" else None
     state = assemble_state(n, coupling, statistics, orbitals)
     assert spin_trace_pair(state, state) == collapsed_trace(state)
+
+
+def _reference_trace(a: SpinPositionState, b: SpinPositionState) -> ReducedDensity:
+    """Tr_spin |a><b| one exact product per (ket, bra) term and block: the
+    reference for the integer accumulation of spin_trace_pair."""
+    out: dict = {}
+    for chi_a, phi_a in a.pairs:
+        for chi_b, phi_b in b.pairs:
+            weight = spin_overlap(chi_b, chi_a)
+            if weight.is_zero():
+                continue
+            for ket, ca in phi_a.terms:
+                weighted = weight * ca
+                for bra, cb in phi_b.terms:
+                    key = (ket, bra)
+                    out[key] = out.get(key, ZERO) + weighted * cb.conjugate()
+    return ReducedDensity.from_dict(tuple(range(1, a.n + 1)), out)
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("assignment", ["ground", "generic"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_spin_trace_pair_equals_the_per_term_reference(n, assignment, statistics) -> None:
+    orbitals = GENERIC_ASSIGNMENT[n] if assignment == "generic" else None
+    states = [assemble_state(n, coupling, statistics, orbitals) for coupling in ("low", "high")]
+    for a, b in product(states, states):
+        rho = spin_trace_pair(a, b)
+        assert rho == _reference_trace(a, b)
+        # a state without its assembly key is the same value, traced uncached
+        assert spin_trace_pair(replace(a, key=None), b) == rho
+        assert spin_trace_pair(b, a).as_dict() == {(bra, ket): c for (ket, bra), c in rho.terms}
+    for a in states:
+        assert collapsed_trace(a) == spin_trace_pair(a, a)
 
 
 def _collapse_defect(state: SpinPositionState) -> ReducedDensity:
