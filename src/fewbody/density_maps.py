@@ -237,7 +237,9 @@ def balance_residual(
             raise ZeroNormSuperposition(statistics)
         densities.append((kernel, weight))
     # each site Gaussian is evaluated once per point, for every orbital of
-    # both statistics' kernels (evaluate_orbitals: as each evaluate gives it)
+    # both statistics' kernels; the kernels multiply the values as Python
+    # scalars (tolist), which round as numpy scalars do, and one complex
+    # value makes them all complex, which evaluate_density rejects
     labels = sorted({
         label for kernel, _ in densities for (ket, bra), _ in kernel.density.terms
         for label in ket + bra
@@ -245,7 +247,10 @@ def balance_residual(
     used = [mos[label] for label in labels]
     worst = 0.0
     for points in configurations:
-        values = [dict(zip(labels, evaluate_orbitals(used, *point))) for point in points]
+        values = [
+            dict(zip(labels, np.array(evaluate_orbitals(used, *point)).tolist()))
+            for point in points
+        ]
         fermion, boson = (kernel(*values) / weight for kernel, weight in densities)
         worst = max(worst, abs(fermion - boson))
     return worst

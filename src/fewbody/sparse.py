@@ -50,6 +50,12 @@ class SparseVector:
         items.sort(key=itemgetter(0))
         return cls(space, tuple(items))
 
+    def __hash__(self) -> int:
+        # frozen: a vector used as a cache key hashes its terms once
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.space, self.terms)))
+        return self._hash
+
     def as_dict(self) -> dict:
         return dict(self.terms)
 

@@ -19,8 +19,8 @@ for both the pair-singlet and pair-triplet families.
 
 Both couplings are one rule, _couple: three spins are a lone spin coupled
 to a pair, four spins are two coupled pairs.  Clebsch-Gordan
-coefficients, coupled states and the Grams of the coupled families are
-cached on their arguments; every cached value is immutable.
+coefficients and coupled states are cached on their arguments; every
+cached value is immutable.
 """
 from __future__ import annotations
 
@@ -237,25 +237,3 @@ def spin_family(n: int, s_pair: SpinValue, m: SpinValue = UP) -> list[SpinState]
         raise ValueError(f"particle count {n} not in {{3, 4}}")
     return family_3(s_pair, m) if n == 3 else family_4(s_pair)
 
-
-@cache
-def family_gram(
-    n: int, bra: tuple[int, Fraction], ket: tuple[int, Fraction]
-) -> tuple[tuple[SqrtRational, ...], ...]:
-    """G[i][j] = <bra_i|ket_j> over spin_family(n, *bra) and spin_family(n, *ket).
-
-    Each overlap of two family states is computed once per process: every
-    coefficient is real, so <a|b> = <b|a>, a Gram is the transpose of its
-    swapped one and a family's own Gram is symmetric.
-    """
-    if ket < bra:
-        return tuple(zip(*family_gram(n, ket, bra)))
-    bras, kets = spin_family(n, *bra), spin_family(n, *ket)
-    gram = [[ZERO] * len(kets) for _ in bras]
-    for i, chi_a in enumerate(bras):
-        for j, chi_b in enumerate(kets):
-            if bra == ket and j < i:
-                gram[i][j] = gram[j][i]
-            else:
-                gram[i][j] = spin_overlap(chi_a, chi_b)
-    return tuple(map(tuple, gram))

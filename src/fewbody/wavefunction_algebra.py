@@ -5,9 +5,10 @@ labels; every coefficient is exact.  Full spin (x) position states for
 three and four particles are assembled from the coupled spin families and
 the Young-symmetrized position families, and densities are obtained by
 tracing out spins and marginalizing coordinates through orbital
-orthonormality.  Position families, assembled states and the spin traces
-of assembled states are cached on their arguments, so each is built once
-per process; a trace accumulates in Python ints (_weighted_outer).
+orthonormality.  Position families and assembled states are cached on
+their arguments, spin Grams and spin traces on the values of the states
+they read, so each is built once per process; a trace accumulates in
+Python ints (_weighted_outer).
 
 The position families follow the printed four-term (three-particle) and
 sixteen-term (four-particle) expansions: one standard-tableau member is
@@ -19,7 +20,7 @@ doubly occupied, the rest e) puts the paired orbital in the first row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
@@ -30,7 +31,7 @@ import numpy as np
 from .exact import ONE, ZERO, SqrtRational, rational, sqrt_rational
 from .grid_tiles import tile_rows, tiled
 from .sparse import SparseVector
-from .spin_algebra import UP, SpinState, family_gram, spin_family, spin_overlap
+from .spin_algebra import UP, SpinState, spin_family, spin_overlap
 from .symmetric_group import Permutation, apply_symmetrizer, build_symmetrizer
 
 Scalar = Union[int, Fraction, SqrtRational]
@@ -152,15 +153,13 @@ def project_out_symmetric_sum(
 class SpinPositionState:
     """Assembled state sum_i spin_i (x) position_i with a statistics tag.
 
-    key holds assemble_state's normalized arguments for a state it built,
-    and is None for any other; it keys the cached spin Grams and traces and
-    is no part of the value.
+    A state is its value: equal states, assembled or built by hand, hash
+    equal and share the cached spin Grams and traces.
     """
 
     n: int
     statistics: str
     pairs: tuple[tuple[SpinState, PositionWavefunction], ...]
-    key: tuple | None = field(default=None, compare=False, repr=False)
 
     def scaled(self, factor: Scalar) -> "SpinPositionState":
         return SpinPositionState(
@@ -175,7 +174,7 @@ def full_overlap(a: SpinPositionState, b: SpinPositionState) -> SqrtRational:
     if a.n != b.n:
         raise ValueError("particle-count mismatch")
     total = ZERO
-    for row, (_, phi_a) in zip(_spin_gram(a, b), a.pairs):
+    for row, (_, phi_a) in zip(_spin_gram(_spins(a), _spins(b)), a.pairs):
         for s, (_, phi_b) in zip(row, b.pairs):
             if s:
                 # orthonormal orbitals: assignments contract by Kronecker delta
@@ -183,19 +182,17 @@ def full_overlap(a: SpinPositionState, b: SpinPositionState) -> SqrtRational:
     return total
 
 
-def _spin_gram(a: SpinPositionState, b: SpinPositionState) -> Sequence[Sequence[SqrtRational]]:
-    """G[i][j] = <chi^a_i|chi^b_j> over the spin parts, real, so also the
-    weight <chi^b_j|chi^a_i> of |phi^a_i><phi^b_j| in a spin trace.  Two
-    assembled states read their families' cached Gram."""
-    if a.key is None or b.key is None:
-        return [[spin_overlap(chi_a, chi_b) for chi_b, _ in b.pairs] for chi_a, _ in a.pairs]
-    return family_gram(a.n, _spin_family_key(a.key), _spin_family_key(b.key))
+def _spins(state: SpinPositionState) -> tuple[SpinState, ...]:
+    return tuple(chi for chi, _ in state.pairs)
 
 
-def _spin_family_key(key: tuple) -> tuple[int, Fraction]:
-    """The (s_pair, m) of the spin family of the state assembled on key."""
-    _, coupling, _, _, m = key
-    return (0 if coupling == "low" else 1), m
+@cache
+def _spin_gram(
+    spins_a: tuple[SpinState, ...], spins_b: tuple[SpinState, ...]
+) -> tuple[tuple[SqrtRational, ...], ...]:
+    """G[i][j] = <chi^a_i|chi^b_j>, real, so also the weight
+    <chi^b_j|chi^a_i> of |phi^a_i><phi^b_j| in a spin trace."""
+    return tuple(tuple(spin_overlap(chi_a, chi_b) for chi_b in spins_b) for chi_a in spins_a)
 
 
 def assemble_state(
@@ -235,12 +232,11 @@ def _assemble_state(
     s_pair = 0 if coupling == "low" else 1
     position_kind = s_pair if statistics == "fermion" else 1 - s_pair
     positions = build_position_family(n, position_kind, orbital_assignment)  # checks n
-    key = (n, coupling, statistics, orbital_assignment, m)
     spins = spin_family(n, s_pair, m)
-    state = SpinPositionState(n, statistics, tuple(zip(spins, positions)), key)
+    state = SpinPositionState(n, statistics, tuple(zip(spins, positions)))
     # nonzero: the norm is the trace of collapsed_trace, (3/2) sum_i |Phi_i|^2
     norm_sq = full_overlap(state, state)
-    return replace(state.scaled(ONE / sqrt_rational(norm_sq.as_rational())), key=key)
+    return state.scaled(ONE / sqrt_rational(norm_sq.as_rational()))
 
 
 class ReducedDensity(SparseVector):
@@ -259,30 +255,14 @@ class ReducedDensity(SparseVector):
         return tuple(kept)
 
 
+@cache
 def spin_trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensity:
-    """Position kernel of Tr_spin |a><b|, exact coefficients.
-
-    Kernels of assembled states are cached on their keys, and rho(b, a) is
-    the ket<->bra transpose of rho(a, b): every coefficient is real.
-    """
+    """Position kernel of Tr_spin |a><b|, exact coefficients, cached on the
+    two states' values."""
     if a.n != b.n:
         raise ValueError("particle-count mismatch")
-    if a.key is None or b.key is None:
-        return _trace_pair(a, b)
-    return _cached_trace_pair(a.key, b.key)
-
-
-@cache
-def _cached_trace_pair(a_key: tuple, b_key: tuple) -> ReducedDensity:
-    if b_key < a_key:
-        rho = _cached_trace_pair(b_key, a_key)
-        return rho._build(rho.kept, {(bra, ket): c for (ket, bra), c in rho.terms})
-    return _trace_pair(_assemble_state(*a_key), _assemble_state(*b_key))
-
-
-def _trace_pair(a: SpinPositionState, b: SpinPositionState) -> ReducedDensity:
     phis_a, phis_b = ([phi for _, phi in state.pairs] for state in (a, b))
-    return _weighted_outer(a.n, _spin_gram(a, b), phis_a, phis_b)
+    return _weighted_outer(a.n, _spin_gram(_spins(a), _spins(b)), phis_a, phis_b)
 
 
 def collapsed_trace(state: SpinPositionState) -> ReducedDensity:

@@ -246,6 +246,14 @@ def test_no_qualifying_point_is_not_antibunched() -> None:
     assert not report.antibunched
 
 
+def test_balance_residual_rejects_a_complex_orbital() -> None:
+    mos = rectangle_mos(2.0, 2.0)
+    circulating = degenerate_superpositions(mos["e"], mos["e'"])["e+ie'"]
+    points = [[(0.1, 0.2), (0.3, -0.4), (1.0, 0.5), (-0.5, 0.7)]]
+    with pytest.raises(ValueError, match="real orbital values"):
+        balance_residual(4, {**mos, "e": circulating}, cmath.rect(1.0, 0.39), points)
+
+
 def test_balance_residual_takes_a_huge_c1_at_unit_modulus() -> None:
     # the check does not depend on the scale of C1, whose square overflows or
     # falls below the smallest normal double

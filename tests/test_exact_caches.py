@@ -1,5 +1,6 @@
 """The exact layer's caches: bounded by their arguments, none keyed by a float."""
 import contextlib
+import dataclasses
 import io
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from fewbody import density_maps, exact, spin_algebra, wavefunction_algebra
 from fewbody.cli import main
+from fewbody.exact import SqrtRational
 
 CACHED_MODULES = (exact, spin_algebra, wavefunction_algebra, density_maps)
 
@@ -34,6 +36,12 @@ def _round(out_dir: Path) -> None:
 
 
 def _inexact(value) -> bool:
+    """Whether value holds a float or complex anywhere, walking containers,
+    dataclass fields and the terms of exact values."""
+    if isinstance(value, SqrtRational):
+        value = tuple(value.terms.items())
+    elif dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
     if isinstance(value, (tuple, list, frozenset)):
         return any(map(_inexact, value))
     return isinstance(value, (float, complex))
@@ -63,9 +71,13 @@ def test_caches_stay_bounded_and_take_no_float_key(tmp_path: Path, monkeypatch) 
     sizes = {name: cached.cache_info().currsize for name, cached in caches.items()}
     _round(tmp_path / "second")
     assert {name: cached.cache_info().currsize for name, cached in caches.items()} == sizes
-    for name in ("spin_algebra.family_gram", "wavefunction_algebra._cached_trace_pair"):
+    for name in ("wavefunction_algebra._spin_gram", "wavefunction_algebra.spin_trace_pair"):
         assert sizes[f"fewbody.{name}"] > 0 and keys[f"fewbody.{name}"]
-    floats = {name: k for name, calls in keys.items() for k in calls if _inexact(k)}
+    # the one-entry grid cache is keyed on the float geometry and grid
+    floats = {
+        name: k for name, calls in keys.items() for k in calls
+        if _inexact(k) and not name.endswith("._grid_values")
+    }
     assert floats == {}
 
 
@@ -73,4 +85,13 @@ def test_caches_stay_bounded_and_take_no_float_key(tmp_path: Path, monkeypatch) 
 def test_a_float_projection_shares_the_exact_state(m: float) -> None:
     state = wavefunction_algebra.assemble_state(3, "low", "fermion", m=m)
     assert state is wavefunction_algebra.assemble_state(3, "low", "fermion", m=Fraction(m))
-    assert not _inexact(state.key)
+    assert not _inexact(state)
+
+
+def test_equal_states_share_one_trace() -> None:
+    # m is unused at n = 4, so the two assembled states are one value
+    up = wavefunction_algebra.assemble_state(4, "low", "fermion", m=spin_algebra.UP)
+    down = wavefunction_algebra.assemble_state(4, "low", "fermion", m=spin_algebra.DOWN)
+    assert up == down
+    trace = wavefunction_algebra.spin_trace_pair
+    assert trace(up, up) is trace(down, down)

@@ -227,11 +227,31 @@ def test_spin_trace_pair_equals_the_per_term_reference(n, assignment, statistics
     for a, b in product(states, states):
         rho = spin_trace_pair(a, b)
         assert rho == _reference_trace(a, b)
-        # a state without its assembly key is the same value, traced uncached
-        assert spin_trace_pair(replace(a, key=None), b) == rho
+        # a state built by hand from the same parts takes the same trace
+        assert spin_trace_pair(SpinPositionState(a.n, a.statistics, a.pairs), b) == rho
         assert spin_trace_pair(b, a).as_dict() == {(bra, ket): c for (ket, bra), c in rho.terms}
     for a in states:
         assert collapsed_trace(a) == spin_trace_pair(a, a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_changed_assembled_state_traces_as_its_new_value(n: int) -> None:
+    """An assembled state with its pairs replaced is traced and overlapped as
+    the state built by hand from the new pairs, not as the state it came from."""
+    state = assemble_state(n, "low", "fermion", GENERIC_ASSIGNMENT[n])
+    high_spins = family_3(1, UP) if n == 3 else family_4(1)
+    doubled = tuple((chi, phi.scaled(2)) for chi, phi in state.pairs)
+    mixed = (*state.pairs[:2], (high_spins[2], state.pairs[2][1]))
+    for pairs in (doubled, mixed):
+        changed = replace(state, pairs=pairs)
+        by_hand = SpinPositionState(n, "fermion", pairs)
+        assert spin_trace_pair(changed, changed) == spin_trace_pair(by_hand, by_hand)
+        assert full_overlap(changed, changed) == full_overlap(by_hand, by_hand)
+    changed = replace(state, pairs=doubled)
+    assert spin_trace_pair(changed, changed) == spin_trace_pair(state, state).scaled(4)
+    if n == 3:
+        changed = replace(state, pairs=mixed)
+        assert full_overlap(changed, changed) == rational(Fraction(7, 9))
 
 
 def _collapse_defect(state: SpinPositionState) -> ReducedDensity:
