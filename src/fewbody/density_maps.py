@@ -208,15 +208,18 @@ def balance_residual(
 ) -> float:
     """Max deviation between fermion and boson full densities at C2 = C1*.
 
-    Each configuration holds one point per particle.  Each density is the
-    float64 PairDensityKernel value of the superposition's Hermitian kernel
-    on the real orbitals mos, normalised to unit total weight before
-    comparison, so the check is insensitive to the overall norm of the
-    superposed state.  Raises ZeroNormSuperposition when that weight
-    vanishes, which happens at the ground assignment whenever
-    Re(C1^2) <Psi1|Psi2> = -|C1|^2.  A nonzero C1 whose squared modulus
-    overflows or falls below the smallest normal double is taken at unit
-    modulus; a non-finite C1 raises ValueError.
+    Each configuration holds one point per particle; each statistics'
+    PairDensityKernel is called once, on every configuration's points
+    stacked into arrays.  An empty list of configurations, or one whose
+    point count is not n, raises ValueError; a NaN coordinate gives a NaN
+    deviation, which fails any bound.  Each density is the float64 value
+    of the superposition's Hermitian kernel on the real orbitals mos,
+    normalised to unit total weight before comparison, so the check is
+    insensitive to the overall norm of the superposed state.  Raises
+    ZeroNormSuperposition when that weight vanishes, which happens at the
+    ground assignment whenever Re(C1^2) <Psi1|Psi2> = -|C1|^2.  A nonzero
+    C1 whose squared modulus overflows or falls below the smallest normal
+    double is taken at unit modulus; a non-finite C1 raises ValueError.
     """
     c1 = complex(c1)
     if not all(map(math.isfinite, (c1.real, c1.imag))):
@@ -226,6 +229,8 @@ def balance_residual(
         c1 /= max(abs(c1.real), abs(c1.imag))
         c1 /= abs(c1)
     c2 = c1.conjugate()
+    # each particle's coordinates over every configuration, as one (xs, ys) pair
+    points = [np.array(coords, dtype=float).T for coords in zip(*configurations, strict=True)]
     densities = []
     for statistics in ("fermion", "boson"):
         psi1 = assemble_state(n, "low", statistics)
@@ -236,24 +241,8 @@ def balance_residual(
         if weight == 0.0:
             raise ZeroNormSuperposition(statistics)
         densities.append((kernel, weight))
-    # each site Gaussian is evaluated once per point, for every orbital of
-    # both statistics' kernels; the kernels multiply the values as Python
-    # scalars (tolist), which round as numpy scalars do, and one complex
-    # value makes them all complex, which evaluate_density rejects
-    labels = sorted({
-        label for kernel, _ in densities for (ket, bra), _ in kernel.density.terms
-        for label in ket + bra
-    })
-    used = [mos[label] for label in labels]
-    worst = 0.0
-    for points in configurations:
-        values = [
-            dict(zip(labels, np.array(evaluate_orbitals(used, *point)).tolist()))
-            for point in points
-        ]
-        fermion, boson = (kernel(*values) / weight for kernel, weight in densities)
-        worst = max(worst, abs(fermion - boson))
-    return worst
+    fermion, boson = (kernel(*points) / weight for kernel, weight in densities)
+    return float(np.max(np.abs(fermion - boson), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -342,19 +342,22 @@ def spin_trace(
     |C1|^2 rho_11 + |C2|^2 rho_22 + cross terms.  The branches must share
     their statistics and particle count.  Each exact kernel coefficient v
     becomes complex(v) * weight, so the result holds complex coefficients.
+    The exact coefficients are real, so rho_21 is rho_12 with ket and bra
+    swapped: only (psi1, psi1), (psi2, psi2) and (psi1, psi2) are traced.
     Raises ValueError when |C1|^2 or |C2|^2 is not finite."""
     if psi1.statistics != psi2.statistics:
         raise ValueError("statistics mismatch between branches")
     c1, c2 = complex(c1), complex(c2)
+    kept = tuple(range(1, psi1.n + 1))
 
-    def weighted(a, b, weight):
-        rho = spin_trace_pair(a, b)
-        return rho._build(rho.kept, {k: complex(v) * weight for k, v in rho.terms})
+    def weighted(terms, weight):
+        return ReducedDensity._build(kept, {k: complex(v) * weight for k, v in terms})
 
-    k11 = weighted(psi1, psi1, _squared_modulus("C1", c1))
-    k22 = weighted(psi2, psi2, _squared_modulus("C2", c2))
-    k12 = weighted(psi1, psi2, c1 * c2.conjugate())
-    k21 = weighted(psi2, psi1, c2 * c1.conjugate())
+    k11 = weighted(spin_trace_pair(psi1, psi1).terms, _squared_modulus("C1", c1))
+    k22 = weighted(spin_trace_pair(psi2, psi2).terms, _squared_modulus("C2", c2))
+    rho12 = spin_trace_pair(psi1, psi2).terms
+    k12 = weighted(rho12, c1 * c2.conjugate())
+    k21 = weighted((((bra, ket), v) for (ket, bra), v in rho12), c2 * c1.conjugate())
     return k11 + k22 + k12 + k21
 
 

@@ -2,11 +2,13 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fewbody import density_maps
+from fewbody.cli import BALANCE_DRAWS
 from fewbody.density_maps import (
     AntibunchingReport,
     DensityGrid,
@@ -33,7 +35,9 @@ from fewbody.wavefunction_algebra import (
     ReducedDensity,
     assemble_state,
     evaluate_density,
+    full_overlap,
     marginalize,
+    spin_trace,
     spin_trace_pair,
 )
 
@@ -266,6 +270,80 @@ def test_balance_residual_takes_a_huge_c1_at_unit_modulus() -> None:
     for c1 in (complex(math.inf, 0.0), complex(0.5, math.nan)):
         with pytest.raises(ValueError, match="C1 must be finite"):
             balance_residual(3, mos, c1, points)
+
+
+def _scalar_loop_residual(n, mos, c1, configurations) -> float:
+    """The balance check as one kernel call per configuration and statistics
+    on Python-scalar orbital values, kept as an oracle for balance_residual."""
+    c2 = c1.conjugate()
+    densities = []
+    for statistics in ("fermion", "boson"):
+        psi1 = assemble_state(n, "low", statistics)
+        psi2 = assemble_state(n, "high", statistics)
+        kernel = PairDensityKernel(spin_trace(c1, psi1, c2, psi2), mos)
+        cross = complex(full_overlap(psi1, psi2))
+        weight = abs(c1) ** 2 + abs(c2) ** 2 + 2.0 * (c1 * c2.conjugate() * cross).real
+        densities.append((kernel, weight))
+    labels = sorted({
+        label for kernel, _ in densities for (ket, bra), _ in kernel.density.terms
+        for label in ket + bra
+    })
+    used = [mos[label] for label in labels]
+    worst = 0.0
+    for points in configurations:
+        values = [
+            dict(zip(labels, np.array(evaluate_orbitals(used, *point)).tolist()))
+            for point in points
+        ]
+        fermion, boson = (kernel(*values) / weight for kernel, weight in densities)
+        worst = max(worst, abs(fermion - boson))
+    return worst
+
+
+def _balance_configurations(n: int) -> list[list[tuple[float, float]]]:
+    points = list(zip(BALANCE_DRAWS[::2], BALANCE_DRAWS[1::2]))
+    return [points[k * n : (k + 1) * n] for k in range(6)]
+
+
+@pytest.mark.parametrize("phase", [0.39, 1.1, -2.0, 0.7, 3.0])
+@pytest.mark.parametrize(
+    "n, mos",
+    [(3, triangle_mos(2.0, 2.5)), (4, rectangle_mos(2.0, 2.0)), (4, rectangle_mos(2.5, 1.5))],
+    ids=["triangle", "square", "rectangle"],
+)
+def test_balance_residual_matches_the_scalar_loop_bit_for_bit(n, mos, phase) -> None:
+    c1 = cmath.rect(1.0, phase)
+    configurations = _balance_configurations(n)
+    got = balance_residual(n, mos, c1, configurations)
+    assert got.hex() == _scalar_loop_residual(n, mos, c1, configurations).hex()
+
+
+def test_one_balance_check_evaluates_each_statistics_once() -> None:
+    mos = rectangle_mos(2.0, 2.0)
+    with mock.patch.object(density_maps, "evaluate_density", wraps=evaluate_density) as spy:
+        balance_residual(4, mos, cmath.rect(1.0, 0.39), _balance_configurations(4))
+    assert spy.call_count == 2
+
+
+def test_balance_residual_propagates_a_nan_coordinate() -> None:
+    mos = triangle_mos(2.0, 2.5)
+    points = [[(0.1, 0.2), (0.3, -0.4), (1.0, 0.5)], [(math.nan, 0.2), (0.3, -0.4), (1.0, 0.5)]]
+    assert math.isnan(balance_residual(3, mos, cmath.rect(1.0, 0.39), points))
+
+
+def test_balance_residual_rejects_no_configuration() -> None:
+    with pytest.raises(ValueError, match="one point per kept coordinate"):
+        balance_residual(3, triangle_mos(2.0, 2.5), cmath.rect(1.0, 0.39), [])
+
+
+def test_balance_residual_rejects_a_configuration_with_an_extra_point() -> None:
+    mos = triangle_mos(2.0, 2.5)
+    triple = [(0.1, 0.2), (0.3, -0.4), (1.0, 0.5)]
+    points = [triple, [*triple, (0.0, 0.0)]]
+    with pytest.raises(ValueError):
+        balance_residual(3, mos, cmath.rect(1.0, 0.39), points)
+    with pytest.raises(ValueError, match="one point per kept coordinate"):
+        balance_residual(3, mos, cmath.rect(1.0, 0.39), points[1:])
 
 
 def test_conditional_density_normalizes_on_the_grid() -> None:

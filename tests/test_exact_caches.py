@@ -95,3 +95,22 @@ def test_equal_states_share_one_trace() -> None:
     assert up == down
     trace = wavefunction_algebra.spin_trace_pair
     assert trace(up, up) is trace(down, down)
+
+
+def test_a_balanced_run_traces_each_branch_pair_once(tmp_path: Path) -> None:
+    # spin_trace takes rho_21 as the transpose of rho_12: per statistics only
+    # (low, low), (high, high) and (low, high) are traced
+    trace = wavefunction_algebra.spin_trace_pair
+    trace.cache_clear()
+    argv = ["density", "--geometry", "rectangle", "--a", "2", "--b", "2",
+            "--set", "nx=16", "--set", "ny=16", "--set", "c2_magnitude=1",
+            "--set", "c1_phase=0.39", "--output-dir", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert trace.cache_info().currsize == 6
+    for statistics in ("fermion", "boson"):
+        low = wavefunction_algebra.assemble_state(4, "low", statistics)
+        high = wavefunction_algebra.assemble_state(4, "high", statistics)
+        hits = trace.cache_info().hits
+        trace(high, low)
+        assert trace.cache_info().hits == hits
