@@ -189,7 +189,8 @@ def conditional_density(
         raise VanishingMarginalError(
             f"conditioning point ({r0[0]:g}, {r0[1]:g}) has vanishing marginal density"
         )
-    return DensityGrid(spec, slice_values / marginal)
+    slice_values /= marginal  # the kernel's array is this call's own
+    return DensityGrid(spec, slice_values)
 
 
 class ZeroNormSuperposition(ArithmeticError):
@@ -277,9 +278,10 @@ def antibunching_check(
     else:
         rho = np.asarray(marginal(*spec.open_mesh()), dtype=float)
         rho = np.broadcast_to(rho, spec.resolution)
-    coincidence = kernel(spec, spec)
+    ratios = kernel(spec, spec)  # the coincidence pair(r, r), this call's own array
     mask = rho > DENSITY_FLOOR
-    ratios = np.where(mask, coincidence / np.where(mask, rho * rho, 1.0), -np.inf)
+    np.divide(ratios, rho * rho, out=ratios, where=mask)
+    np.copyto(ratios, -np.inf, where=~mask)
     idx = int(np.argmax(ratios))
     i, j = np.unravel_index(idx, ratios.shape)
     max_ratio = float(ratios[i, j])
@@ -309,37 +311,39 @@ def probability_flux(mo: MolecularOrbital, spec: GridSpec) -> DensityGrid:
 
 
 def local_maxima(grid: DensityGrid) -> list[Point]:
-    """Positions of the strict local maxima of a scalar grid.
+    """Positions of the local maxima of a scalar grid.
 
-    Plateaus (cells tied with a neighbor, as happens on symmetric grids
-    straddling a symmetry axis) are clustered; a cluster counts as one
-    maximum when it dominates every cell adjacent to it, and is reported
-    at the centroid of its cells.
+    A cell is dominant when it is >= each of its in-grid neighbours (a NaN
+    cell never is).  Dominant cells adjacent to each other (plateaus, as on
+    symmetric grids straddling a symmetry axis) are clustered; a cluster
+    counts as one maximum when it exceeds every cell adjacent to it, and is
+    reported at the centroid of its cells.
     """
     if grid.values.ndim != 2:
         raise ValueError("local maxima need a scalar grid")
     v = grid.values
     nx, ny = v.shape
-    padded = np.full((nx + 2, ny + 2), -np.inf)
-    padded[1:-1, 1:-1] = v
 
     def dominant(i0, i1):
-        rows = v[i0:i1]
-        top = np.ones_like(rows, dtype=bool)
+        i1 = nx if i1 is None else i1
+        top = np.ones((i1 - i0, ny), bool)
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 if di or dj:
-                    top &= rows >= padded[1 + di : nx + 1 + di, 1 + dj : ny + 1 + dj][i0:i1]
+                    # rows a:b, columns c:d: the cells whose (di, dj) neighbour is in the grid
+                    a, b = max(i0, -di), min(i1, nx - di)
+                    c, d = max(0, -dj), min(ny, ny - dj)
+                    top[a - i0 : b - i0, c:d] &= v[a:b, c:d] >= v[a + di : b + di, c + dj : d + dj]
         return top
 
     flat = tiled(dominant, (nx, ny), bool)
     xs, ys = grid.spec.axes()
     seen = np.zeros_like(flat)
     results: list[Point] = []
-    for i0, j0 in np.argwhere(flat):
+    for i0, j0 in (divmod(k, ny) for k in np.flatnonzero(flat).tolist()):
         if seen[i0, j0]:
             continue
-        stack = [(int(i0), int(j0))]
+        stack = [(i0, j0)]
         cluster = []
         rim = -np.inf  # the highest cell adjacent to the cluster: none is dominant
         seen[i0, j0] = True

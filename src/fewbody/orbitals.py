@@ -38,18 +38,19 @@ class SiteOrbital:
         Each coordinate is shifted and squared on its own values, so on an
         open mesh (x of shape (nx, 1), y of shape (1, ny)) those passes run
         on nx + ny values; one broadcasting add forms r^2, and the divide,
-        exp and scale then work in place on it.  Augmented `**= 2` keeps
-        numpy's choices: it squares an array and calls pow on a scalar, as
-        `** 2` does.  (-r2) / k and r2 / (-k) round alike, since IEEE
-        division is sign-symmetric.  Far from the site r^2 overflows to inf,
-        and exp(-inf) = 0 is the right value, so that overflow is not reported.
+        exp and scale then work in place on it.  np.square squares by one
+        product on a point as on a grid, so a point's value is bit for bit
+        its element of an array evaluation.  (-r2) / k and r2 / (-k) round
+        alike, since IEEE division is sign-symmetric.  Far from the site r^2
+        overflows to inf, and exp(-inf) = 0 is the right value, so that
+        overflow is not reported.
         """
         cx, cy = self.center
         with np.errstate(over="ignore"):
             dx = np.subtract(x, cx, dtype=float)
-            dx **= 2
+            dx = np.square(dx, out=dx if isinstance(dx, np.ndarray) else None)
             dy = np.subtract(y, cy, dtype=float)
-            dy **= 2
+            dy = np.square(dy, out=dy if isinstance(dy, np.ndarray) else None)
             phi = dx + dy
         phi /= -2.0
         phi = np.exp(phi, out=phi if isinstance(phi, np.ndarray) else None)

@@ -418,6 +418,61 @@ def test_divergence_of_lcao_flux_plateaus_off_zero() -> None:
     assert max(values) - min(values) < 0.05 * values[-1]
 
 
+def _closed_form_divergence(mo, x, y) -> np.ndarray:
+    """div j of j = Im(phi* grad phi), in closed form: Im(phi* lap phi), since
+    grad phi* . grad phi is real, with lap g_A = (|r - A|^2 - 2) g_A for each
+    unit-width site Gaussian g_A = exp(-|r - A|^2 / 2) / sqrt(pi)."""
+    phi = lap = 0.0
+    for coeff, (_, site) in zip(mo.coefficients, mo.geometry.sites):
+        cx, cy = site.center
+        r2 = (x - cx) ** 2 + (y - cy) ** 2
+        g = np.exp(-r2 / 2.0) / math.sqrt(math.pi)
+        phi = phi + coeff * g
+        lap = lap + coeff * (r2 - 2.0) * g
+    return np.imag(np.conj(phi) * lap)
+
+
+def test_discrete_divergence_converges_at_second_order_to_the_closed_form() -> None:
+    # the square's circulating flux is not solenoidal (known deviation test_10);
+    # the central differences still converge to its divergence at order 2
+    sups = degenerate_superpositions(*(rectangle_mos(2.0, 2.0)[k] for k in ("e", "e'")))
+    mo = sups["e+ie'"]
+    errors = []
+    for res in (96, 192, 384):
+        spec = GridSpec(resolution=(res, res))
+        x, y = spec.meshgrid()
+        exact = _closed_form_divergence(mo, x[1:-1, 1:-1], y[1:-1, 1:-1])
+        div = discrete_divergence(probability_flux(mo, spec))
+        errors.append(float(np.max(np.abs(div - exact))))
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(abs(order - 2.0) <= 0.1 for order in orders), (errors, orders)
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("res", [16, 256, 257])
+def test_conditional_maps_follow_the_mirrors_of_the_geometry(res: int) -> None:
+    """Conditioned at mirror images of a site, the maps are mirror images on
+    the grid: the x-mirror reverses axis 0, the y-mirror axis 1."""
+    spec = GridSpec(resolution=(res, res))
+
+    def cond(kernel, r0):
+        return conditional_density(kernel, r0, spec).values
+
+    square = pair_density(4, rectangle_mos(2.0, 2.0))
+    top_left = cond(square, (-1.0, 1.0))
+    assert _relative_gap(cond(square, (1.0, 1.0)), top_left[::-1, :]) <= 1e-12
+    assert _relative_gap(cond(square, (-1.0, -1.0)), top_left[:, ::-1]) <= 1e-12
+    assert _relative_gap(cond(square, (1.0, -1.0)), top_left[::-1, ::-1]) <= 1e-12
+    # phi_e is even across y = 0, so the map at (-1, 1) equals the one at (-1, -1)
+    assert _relative_gap(cond(square, (-1.0, -1.0)), top_left) <= 1e-12
+    triangle = pair_density(3, triangle_mos(2.0, 2.5))
+    left = cond(triangle, (-1.0, 0.0))
+    assert _relative_gap(cond(triangle, (1.0, 0.0)), left[::-1, :]) <= 1e-12
+
+
 def test_local_maxima_on_synthetic_bumps() -> None:
     spec = GridSpec(x_range=(-4, 4), y_range=(-4, 4), resolution=(128, 128))
     xs, ys = spec.meshgrid()

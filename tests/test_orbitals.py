@@ -272,13 +272,16 @@ def _bits(value):
 
 
 def test_site_evaluation_matches_the_closed_form_bit_for_bit() -> None:
-    """On arrays and on scalars: for a scalar `** 2` is pow, not a product,
-    and the two round differently at about one point in a thousand."""
+    """On arrays against the closed form, and each point alone against its
+    element of the array: a point squares by a product as an array does (a
+    scalar `** 2` would call pow, which rounds differently at about one
+    point in a thousand)."""
     site = SiteOrbital((-1.0, 1.25))
     x, y = np.random.default_rng(7).uniform(-8.0, 8.0, (2, 20000))
-    assert _bits(site.evaluate(x, y)) == _bits(_reference_site(site, x, y))
-    for a, b in zip(x.tolist(), y.tolist()):
-        assert _bits(site.evaluate(a, b)) == _bits(_reference_site(site, a, b))
+    values = site.evaluate(x, y)
+    assert _bits(values) == _bits(_reference_site(site, x, y))
+    for a, b, value in zip(x.tolist(), y.tolist(), values):
+        assert _bits(site.evaluate(a, b)) == _bits(value)
 
 
 def test_mo_evaluation_matches_complex_accumulation_bit_for_bit() -> None:
