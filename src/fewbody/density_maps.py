@@ -132,23 +132,28 @@ class PairDensityKernel:
     """Evaluable density kernel, one point per kept coordinate; a pair
     density is symmetric under argument exchange.
 
-    A point is an (x, y) pair of scalars or arrays, or a GridSpec standing
-    for every cell of that grid (its orbital values from the _grid_values cache).
-    The value is float64, from real orbitals (evaluate_density): a complex
-    orbital under one of the kernel's labels raises ValueError.
+    A point is an (x, y) pair of scalars or arrays, at which the kernel's
+    orbitals are evaluated together (evaluate_orbitals), or a GridSpec
+    standing for every cell of that grid (its orbital values from the
+    _grid_values cache).  evaluate_density sums the float64 value from real
+    orbitals: a complex orbital under one of the kernel's labels raises
+    ValueError.
     """
 
     density: ReducedDensity
     mos: Mapping[str, MolecularOrbital]
 
     def __call__(self, *points):
-        evaluator = {label: mo.evaluate for label, mo in self.mos.items()}
-        points = [self._on_grid(r) if isinstance(r, GridSpec) else r for r in points]
-        return evaluate_density(self.density, evaluator, points)
-
-    def _on_grid(self, spec: GridSpec) -> dict[str, np.ndarray]:
         labels = sorted({label for (ket, bra), _ in self.density.terms for label in ket + bra})
-        return dict(zip(labels, _grid_values(tuple(self.mos[label] for label in labels), spec)))
+        mos = tuple(self.mos[label] for label in labels)
+
+        def orbital_values(r):
+            if not mos:  # an empty kernel: evaluate_orbitals needs an orbital
+                return ()
+            return _grid_values(mos, r) if isinstance(r, GridSpec) else evaluate_orbitals(mos, *r)
+
+        values = [dict(zip(labels, orbital_values(r))) for r in points]
+        return evaluate_density(self.density, values)
 
 
 @functools.lru_cache(maxsize=1)  # a run reads one orbital set on one grid at a time

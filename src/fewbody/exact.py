@@ -77,12 +77,6 @@ class SqrtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self._terms) == 1 == len(other._terms):  # the common case: one radicand
-            ((ra, ca),) = self._terms.items()
-            ((rb, cb),) = other._terms.items()
-            if ra == rb:
-                coef = ca + cb
-                return _canonical({ra: coef} if coef else {})
         merged = dict(self._terms)
         for rad, coef in other._terms.items():
             if rad in merged:
@@ -114,11 +108,6 @@ class SqrtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self._terms) == 1 == len(other._terms):  # the common case: one term each
-            ((ra, ca),) = self._terms.items()
-            ((rb, cb),) = other._terms.items()
-            rad, coef = _product(ra, ca, rb, cb)
-            return _canonical({rad: coef})
         out: dict[int, Fraction] = {}
         for ra, ca in self._terms.items():
             for rb, cb in other._terms.items():

@@ -42,6 +42,7 @@ def tiled(fn, shape: tuple[int, ...], dtype=float):
                 tile = fn(i0, i1)
                 for out, part in zip(outs, tile if several else [tile]):
                     out[i0:i1] = part
+                del tile, part  # before fn builds the next tile
         except BaseException as exc:
             errors.append(exc)
 

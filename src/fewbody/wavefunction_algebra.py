@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -392,17 +392,10 @@ def marginalize(density: ReducedDensity, keep: Iterable[int]) -> ReducedDensity:
     return ReducedDensity.from_dict(keep, out)
 
 
-def evaluate_density(
-    density: ReducedDensity,
-    orbital_evaluator: Mapping[str, Callable],
-    points: Sequence,
-):
-    """Evaluate the kernel diagonal at one position per kept coordinate.
-
-    orbital_evaluator maps a label to a real phi(x, y).  points holds one
-    entry per kept coordinate: an (x, y) pair (scalars or arrays), or a
-    mapping from label to that coordinate's orbital values, already
-    evaluated.  Each coordinate resolves each of its labels once.
+def evaluate_density(density: ReducedDensity, values: Sequence[Mapping[str, object]]):
+    """Sum the kernel diagonal over orbital values: values holds one mapping
+    per kept coordinate, from each label the kernel uses there to a scalar
+    or an array (PairDensityKernel resolves a point into one).
 
     Every kernel spin_trace builds is Hermitian, so on real orbitals its
     diagonal is the sum of Re(coefficient) times real orbital products: it
@@ -410,27 +403,17 @@ def evaluate_density(
     grid the sum runs in row tiles on every usable CPU (grid_tiles.tiled),
     same bytes.
     """
-    if len(points) != len(density.kept):
+    if len(values) != len(density.kept):
         raise ValueError("one point per kept coordinate required")
     if not density.terms:
         return 0.0
-    labels: list[dict[str, None]] = [{} for _ in points]  # each coordinate's, in first use
-    for (ket, bra), _ in density.terms:
-        for used, *pair in zip(labels, ket, bra):
-            used.update(dict.fromkeys(pair))
-    phi = [
-        {label: point[label] for label in used}
-        if isinstance(point, Mapping)
-        else {label: orbital_evaluator[label](*point) for label in used}
-        for point, used in zip(points, labels)
-    ]
-    if any(np.iscomplexobj(v) for values in phi for v in values.values()):
+    if any(np.iscomplexobj(v) for phi in values for v in phi.values()):
         raise ValueError("a density takes real orbital values, not complex ones")
     coefs = [complex(coef).real for _, coef in density.terms]
 
     def term_sum(i0, i1):
         # each coordinate's orbital rows of this tile, sliced once for every term
-        rows = [{label: tile_rows(v, i0, i1) for label, v in values.items()} for values in phi]
+        rows = [{label: tile_rows(v, i0, i1) for label, v in phi.items()} for phi in values]
         total = None
         for ((ket, bra), _), coef in zip(density.terms, coefs):
             factors = [row[label] for row, k, b in zip(rows, ket, bra) for label in (k, b)]
@@ -444,6 +427,6 @@ def evaluate_density(
                 total += value
         return total
 
-    shape = np.broadcast_shapes(*(np.shape(v) for values in phi for v in values.values()))
+    shape = np.broadcast_shapes(*(np.shape(v) for phi in values for v in phi.values()))
     total = tiled(term_sum, shape if len(shape) == 2 else ())
     return total if np.ndim(total) else float(total)

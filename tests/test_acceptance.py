@@ -26,7 +26,6 @@ from fewbody.spin_algebra import (
 from fewbody.wavefunction_algebra import (
     GENERIC_ASSIGNMENT,
     assemble_state,
-    evaluate_density,
     full_overlap,
     marginalize,
     spin_trace_pair,
@@ -54,6 +53,7 @@ from fewbody.orbitals import (
 )
 from fewbody.density_maps import (
     GridSpec,
+    PairDensityKernel,
     antibunching_check,
     balance_residual,
     conditional_density,
@@ -237,13 +237,12 @@ def test_06_pair_kernels_agree_and_interference_is_empty() -> None:
         for coupling in ("low", "high"):
             state = assemble_state(n, coupling, "fermion")
             kernels[coupling] = marginalize(spin_trace_pair(state, state), (1, 2))
-        evaluator = {label: mo.evaluate for label, mo in mos.items()}
         points = [
             (rng.uniform(-3.0, 3.0, 10_000), rng.uniform(-3.0, 3.0, 10_000))
             for _ in range(2)
         ]
-        low = np.asarray(evaluate_density(kernels["low"], evaluator, points))
-        high = np.asarray(evaluate_density(kernels["high"], evaluator, points))
+        low = np.asarray(PairDensityKernel(kernels["low"], mos)(*points))
+        high = np.asarray(PairDensityKernel(kernels["high"], mos)(*points))
         worst_pointwise = max(worst_pointwise, float(np.max(np.abs(low - high))))
         printed = PRINTED_PAIR_KERNELS[n]
         for coupling in ("low", "high"):

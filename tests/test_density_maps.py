@@ -144,9 +144,9 @@ def test_single_density_matches_kernel_marginal(n, mos, weights) -> None:
 
     state = assemble_state(n, "low", "fermion")
     kernel = marginalize(spin_trace_pair(state, state), (1,))
-    evaluator = {label: mo.evaluate for label, mo in mos.items()}
     xs, ys = COARSE.meshgrid()
-    from_kernel = evaluate_density(kernel, evaluator, [(xs, ys)])
+    values = {label: mo.evaluate(xs, ys) for label, mo in mos.items()}
+    from_kernel = evaluate_density(kernel, [values])
     direct = single_density(n, mos, COARSE).values
     np.testing.assert_allclose(direct, from_kernel, atol=1e-12)
 
@@ -164,8 +164,8 @@ def test_pair_kernel_routes_and_statistics_agree(n, mos) -> None:
     np.testing.assert_allclose(fermion, boson, atol=1e-12)
     state = assemble_state(n, "high", "fermion")
     high = marginalize(spin_trace_pair(state, state), (1, 2))
-    evaluator = {label: mo.evaluate for label, mo in mos.items()}
-    dual = evaluate_density(high, evaluator, [r1, r2])
+    values = [{label: mo.evaluate(*r) for label, mo in mos.items()} for r in (r1, r2)]
+    dual = evaluate_density(high, values)
     np.testing.assert_allclose(fermion, dual, atol=1e-12)
 
 
@@ -273,7 +273,7 @@ def test_balance_residual_takes_a_huge_c1_at_unit_modulus() -> None:
 
 
 def _scalar_loop_residual(n, mos, c1, configurations) -> float:
-    """The balance check as one kernel call per configuration and statistics
+    """The balance check as one density sum per configuration and statistics
     on Python-scalar orbital values, kept as an oracle for balance_residual."""
     c2 = c1.conjugate()
     densities = []
@@ -295,7 +295,9 @@ def _scalar_loop_residual(n, mos, c1, configurations) -> float:
             dict(zip(labels, np.array(evaluate_orbitals(used, *point)).tolist()))
             for point in points
         ]
-        fermion, boson = (kernel(*values) / weight for kernel, weight in densities)
+        fermion, boson = (
+            evaluate_density(kernel.density, values) / weight for kernel, weight in densities
+        )
         worst = max(worst, abs(fermion - boson))
     return worst
 
@@ -513,9 +515,9 @@ def test_kernel_grid_values_are_read_only_and_results_are_fresh() -> None:
     diagonal = kernel(spec, spec).copy()
     single = single_density(4, mos, spec).values.copy()
 
-    cached = kernel._on_grid(spec)
-    assert sorted(cached) == ["e", "g"]
-    for values in cached.values():
+    cached = density_maps._grid_values((mos["e"], mos["g"]), spec)
+    assert len(cached) == 2
+    for values in cached:
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0, 0] = 1.0
@@ -552,19 +554,20 @@ def _grid_evaluations(monkeypatch) -> list:
 def test_grid_values_are_cached_per_orbital_set_and_grid(monkeypatch) -> None:
     calls = _grid_evaluations(monkeypatch)
     spec = GridSpec(resolution=(17, 17))
-    kernel = pair_density(3, triangle_mos(2.0, 2.5))
-    other = pair_density(3, triangle_mos(2.0, 2.5))  # an equal orbital set, built anew
-    conditional_density(kernel, (0.0, 2.5), spec)
-    values = kernel._on_grid(spec)
-    assert all(other._on_grid(spec)[label] is values[label] for label in ("e", "g"))
-    assert calls == [(["e", "g"], (17, 1), (1, 17))]
+    mos, other = triangle_mos(2.0, 2.5), triangle_mos(2.0, 2.5)  # an equal set, built anew
+    conditional_density(pair_density(3, mos), (0.0, 2.5), spec)
+    pair_density(3, other)(spec, spec)
+    values = density_maps._grid_values((mos["e"], mos["g"]), spec)
+    assert density_maps._grid_values((other["e"], other["g"]), spec) is values
+    # the grid once for both kernels, and the conditioning point on its own
+    assert calls == [(["e", "g"], (17, 1), (1, 17)), (["e", "g"], (), ())]
     # another grid, or another orbital set, is evaluated anew
-    coarse = kernel._on_grid(COARSE)["g"]
-    taller = pair_density(3, triangle_mos(2.0, 3.0))
-    assert taller._on_grid(COARSE)["g"] is not coarse
-    assert [shapes for _, *shapes in calls] == [
-        [(17, 1), (1, 17)], [(96, 1), (1, 96)], [(96, 1), (1, 96)]
-    ]
+    pair_density(3, mos)(COARSE, COARSE)
+    coarse = density_maps._grid_values((mos["e"], mos["g"]), COARSE)
+    taller = triangle_mos(2.0, 3.0)
+    pair_density(3, taller)(COARSE, COARSE)
+    assert density_maps._grid_values((taller["e"], taller["g"]), COARSE)[1] is not coarse[1]
+    assert [shapes for _, *shapes in calls[2:]] == [[(96, 1), (1, 96)], [(96, 1), (1, 96)]]
 
 
 def test_a_run_on_one_grid_evaluates_its_orbitals_once(monkeypatch) -> None:
@@ -577,7 +580,8 @@ def test_a_run_on_one_grid_evaluates_its_orbitals_once(monkeypatch) -> None:
     kernel = pair_density(4, mos)
     antibunching_check(kernel, single, spec)
     conditional_density(kernel, (-1.0, 1.0), spec)
-    assert calls == [(["e", "g"], (19, 1), (1, 23))]
+    # the conditioning point is evaluated on its own, for both orbitals at once
+    assert calls == [(["e", "g"], (19, 1), (1, 23)), (["e", "g"], (), ())]
 
 
 def test_antibunching_accepts_the_single_density_as_marginal() -> None:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -97,7 +98,7 @@ def test_pair_density_does_not_depend_on_the_tiling(where: str, monkeypatch) -> 
     def compute():
         kernel = density_maps.pair_density(4, mos)
         if where == "grid":
-            return list(kernel._on_grid(RAGGED).values())
+            return list(density_maps._grid_values((mos["e"], mos["g"]), RAGGED))
         if where == "conditional":
             return kernel(RAGGED, R0)
         if where == "diagonal":
@@ -138,6 +139,27 @@ def test_one_tile_runs_fn_once_on_the_whole_grid_in_this_thread() -> None:
     assert grid_tiles.tiled(fn, (256, 256)) is result  # no buffer, no copy
     assert grid_tiles.tiled(fn, ()) is result
     assert calls == [(0, None, threading.get_ident())] * 2
+
+
+def test_one_thread_holds_one_tile_beyond_the_output(monkeypatch) -> None:
+    # the tile just written is dropped before fn builds the next one, so the
+    # traced peak beyond the output is one tile, not two
+    monkeypatch.setattr(grid_tiles, "TILE_CELLS", 1 << 16)  # 64 rows of 1024 columns
+    monkeypatch.setattr(grid_tiles, "usable_cpus", lambda: 1)
+    shape = (1024, 1024)
+    tile_bytes = 64 * 1024 * 8
+
+    def fn(i0, i1):
+        return np.ones((i1 - i0, shape[1]))
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = grid_tiles.tiled(fn, shape)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (peak - out.nbytes) / tile_bytes < 1.5
 
 
 def test_an_error_in_a_worker_tile_reaches_the_caller(monkeypatch) -> None:

@@ -359,23 +359,25 @@ def test_marginalize_validation() -> None:
 def test_evaluate_density_with_constant_orbitals() -> None:
     state = assemble_state(3, "low", "fermion")
     kernel = marginalize(spin_trace_pair(state, state), (1, 2))
-    evaluator = {"g": lambda x, y: 1.0, "e": lambda x, y: 2.0}
-    value = evaluate_density(kernel, evaluator, [(0.0, 0.0), (0.0, 0.0)])
+    values = {"g": 1.0, "e": 2.0}
+    value = evaluate_density(kernel, [values, values])
     # 1/3*g^4 + (1/3 + 1/3 - 1/3)*g^2 e^2 with g=1, e=2
     assert value == pytest.approx(5.0 / 3.0, abs=1e-15)
+    assert type(value) is float
     with pytest.raises(ValueError, match="one point per kept coordinate"):
-        evaluate_density(kernel, evaluator, [(0.0, 0.0)])
+        evaluate_density(kernel, [values])
     empty = ReducedDensity.from_dict((1, 2), {})
-    assert evaluate_density(empty, evaluator, [(0.0, 0.0), (0.0, 0.0)]) == 0.0
+    assert evaluate_density(empty, [values, values]) == 0.0
+    assert evaluate_density(empty, [{}, {}]) == 0.0
 
 
 def test_c_weighted_kernel_evaluates_to_a_real_nonnegative_density() -> None:
     psi1 = assemble_state(3, "low", "fermion")
     kernel = spin_trace(0.6 + 0.8j, psi1, 0.8 - 0.6j, psi1)
-    evaluator = {"g": lambda x, y: np.exp(-(x * x + y * y)), "e": lambda x, y: x}
     grid = np.linspace(-1.0, 1.0, 8)
     xs, ys = np.meshgrid(grid, grid, indexing="ij")
-    values = evaluate_density(kernel, evaluator, [(xs, ys), (xs, ys), (xs, ys)])
+    phi = {"g": np.exp(-(xs * xs + ys * ys)), "e": xs}
+    values = evaluate_density(kernel, [phi, phi, phi])
     assert not np.iscomplexobj(values)
     assert np.all(values >= -1e-12)
 
@@ -431,30 +433,26 @@ def test_assemble_state_invalid_arguments_raise_on_every_call() -> None:
             assemble_state(5, "low", "fermion")
 
 
-def _complex_reference(density, evaluator, points):
+def _complex_reference(density, values):
     """The complex128 oracle for evaluate_density's float64 sum: every
-    coefficient and orbital value complex, every label evaluated once per
-    coordinate index, and an imaginary part within 1e-12 of the largest
-    modulus dropped as roundoff."""
-    cache = {}
-
-    def phi(idx, label):
-        if (idx, label) not in cache:
-            x, y = points[idx]
-            cache[idx, label] = evaluator[label](x, y)
-        return cache[idx, label]
-
+    coefficient and orbital value complex, and an imaginary part within
+    1e-12 of the largest modulus dropped as roundoff."""
     total = None
     for (ket, bra), coef in density.terms:
         value = complex(coef)
-        for idx in range(len(density.kept)):
-            value = value * phi(idx, ket[idx]) * phi(idx, bra[idx]).conjugate()
+        for phi, k, b in zip(values, ket, bra):
+            value = value * phi[k] * phi[b].conjugate()
         total = value if total is None else total + value
     arr = np.asarray(total)
     scale = float(np.max(np.abs(arr))) or 1.0
     if float(np.max(np.abs(arr.imag))) <= 1e-12 * scale:
         return arr.real if arr.shape else float(arr.real)
     return total
+
+
+def _orbital_values(evaluators, points):
+    """One label -> values mapping per point, each orbital evaluated on its own."""
+    return [{label: phi(*point) for label, phi in evaluators.items()} for point in points]
 
 
 def _bits(values):
@@ -472,6 +470,7 @@ def _odd_grid():
 
 @pytest.mark.parametrize("n, statistics", [(3, "fermion"), (4, "boson")])
 def test_float_path_equals_the_complex_loop_bit_for_bit(n, statistics) -> None:
+    from fewbody.density_maps import PairDensityKernel
     from fewbody.orbitals import rectangle_mos, triangle_mos
 
     mos = triangle_mos(2.0, 2.5) if n == 3 else rectangle_mos(2.0, 2.0)
@@ -480,10 +479,12 @@ def test_float_path_equals_the_complex_loop_bit_for_bit(n, statistics) -> None:
     kernel = marginalize(spin_trace_pair(state, state), (1, 2))
     grid = _odd_grid()
     for points in ([grid, grid], [grid, (1.0, 0.0)], [(0.0, 2.5), (0.25, -1.0)]):
-        value = evaluate_density(kernel, evaluator, points)
-        expected = _complex_reference(kernel, evaluator, points)
+        values = _orbital_values(evaluator, points)
+        value = evaluate_density(kernel, values)
+        expected = _complex_reference(kernel, values)
         assert not np.iscomplexobj(value)
         assert _bits(value) == _bits(expected)
+        assert _bits(PairDensityKernel(kernel, mos)(*points)) == _bits(value)
 
 
 def test_complex_orbital_values_raise() -> None:
@@ -497,7 +498,7 @@ def test_complex_orbital_values_raise() -> None:
     state = assemble_state(4, "low", "fermion")
     kernel = marginalize(spin_trace_pair(state, state), (1, 2))
     with pytest.raises(ValueError, match="real orbital values"):
-        evaluate_density(kernel, evaluator, [_odd_grid(), (1.0, -1.0)])
+        evaluate_density(kernel, _orbital_values(evaluator, [_odd_grid(), (1.0, -1.0)]))
     pair = PairDensityKernel(kernel, {"g": mos["g"], "e": circulating})
     with pytest.raises(ValueError, match="real orbital values"):
         pair((0.5, 0.25), (1.0, -1.0))
@@ -531,34 +532,43 @@ def test_conjugate_weighted_kernels_match_the_complex_loop(n, assignment) -> Non
     assert has_imaginary == (assignment == "generic")
     rng = np.random.default_rng(1)
     for _ in range(6):
-        points = [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)]
-        value = evaluate_density(kernel, evaluator, points)
-        assert _bits(value) == _bits(_complex_reference(kernel, evaluator, points))
+        values = _orbital_values(evaluator, [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(n)])
+        value = evaluate_density(kernel, values)
+        assert _bits(value) == _bits(_complex_reference(kernel, values))
 
 
-def test_each_coordinate_evaluates_each_of_its_labels_once() -> None:
+def test_each_coordinate_evaluates_each_of_its_labels_once(monkeypatch) -> None:
+    """PairDensityKernel resolves each (x, y) point by one evaluate_orbitals
+    call on the kernel's sorted labels, so each site Gaussian is evaluated
+    once per point, not once per label; the same point object passed twice
+    gives what two equal objects give."""
+    from fewbody import density_maps, orbitals
+
+    mos = orbitals.triangle_mos(2.0, 2.5)  # e' is not among the kernel's labels
     state = assemble_state(3, "low", "fermion")
-    kernel = marginalize(spin_trace_pair(state, state), (1, 2))
-    calls = []
+    kernel = density_maps.PairDensityKernel(
+        marginalize(spin_trace_pair(state, state), (1, 2)), mos
+    )
+    calls, sites = [], []
+    evaluate_orbitals, site_evaluate = orbitals.evaluate_orbitals, orbitals.SiteOrbital.evaluate
 
-    def counted(label, phi):
-        def evaluate(x, y):
-            calls.append(label)
-            return phi(x, y)
+    def recording(mos, x, y):
+        calls.append([mo.label for mo in mos])
+        return evaluate_orbitals(mos, x, y)
 
-        return evaluate
+    def counted(site, x, y):
+        sites.append(site.center)
+        return site_evaluate(site, x, y)
 
-    evaluator = {
-        "g": counted("g", lambda x, y: np.exp(-(x * x + y * y))),
-        "e": counted("e", lambda x, y: x),
-    }
-
+    monkeypatch.setattr(density_maps, "evaluate_orbitals", recording)
+    monkeypatch.setattr(orbitals.SiteOrbital, "evaluate", counted)
     grid = _odd_grid()
-    one_object = evaluate_density(kernel, evaluator, [grid, grid])
-    assert sorted(calls) == ["e", "e", "g", "g"]
+    one_object = kernel(grid, grid)
+    assert calls == [["e", "g"], ["e", "g"]]
+    assert len(sites) == 2 * 3  # two points, three sites
     calls.clear()
-    separate = evaluate_density(kernel, evaluator, [grid, list(grid)])
-    assert sorted(calls) == ["e", "e", "g", "g"]
+    separate = kernel(grid, list(grid))
+    assert calls == [["e", "g"], ["e", "g"]]
     assert _bits(one_object) == _bits(separate)
 
 
